@@ -23,9 +23,11 @@ from .conductivity import (
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
 from .ensemble import (
     EnsembleResult,
+    Realization,
     SweepTable,
     disorder_sweep,
     ensemble_average,
+    realization_pair_spectrum,
     temperature_sweep,
 )
 from .lattice import (

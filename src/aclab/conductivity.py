@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
-from .lattice import LatticeSpec, PERIODIC, build_velocity
+from .lattice import LatticeSpec, PERIODIC
 from .spectral import SpectralData, energy_bins
 from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight_matrix
 
@@ -137,26 +136,35 @@ def pair_spectrum(data: SpectralData, velocity: np.ndarray) -> PairSpectrum:
     )
 
 
-def _mirror_bin(ps: PairSpectrum, pair_mass: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
-    """Bin the nu > eps_deg ordered pairs on the positive half and mirror.
+def _split_pairs(ps: PairSpectrum) -> tuple:
+    """Mask and frequencies of the nu > eps_deg pairs (binned, then mirrored),
+    and the (row, column) indices of the |nu| <= eps_deg pairs (the atom)."""
+    nu = ps.frequencies()
+    positive = nu > ps.eps_deg
+    return positive, nu[positive], np.nonzero(np.abs(nu) <= ps.eps_deg)
 
-    pair_mass[n, m] is the mass the ordered pair (n, m) contributes at
-    nu_nm = E_n - E_m; it must be symmetric in (n, m) so the mirrored copy
+
+def _midpoints(ps: PairSpectrum, pairs: tuple) -> np.ndarray:
+    return 0.5 * (ps.energies[pairs[0]] + ps.energies[pairs[1]])
+
+
+def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
+                bin_edges: np.ndarray) -> np.ndarray:
+    """Bin the nu > eps_deg pairs (frequencies values) on the positive half and mirror.
+
+    pair_mass must come from a mass symmetric in (n, m), so the mirrored copy
     equals the negative-frequency pairs exactly.
     """
     n_bins = len(bin_edges) - 1
     if n_bins % 2 or bin_edges[n_bins // 2] != 0.0:
         raise ValueError("frequency bins must be symmetric with zero on an edge")
-    nu = ps.frequencies()
-    positive = nu > ps.eps_deg
-    values = nu[positive]
     if values.size and values.max() > bin_edges[-1]:
         raise ValueError(
             f"pair frequency {values.max():.6g} beyond the bin range "
             f"{bin_edges[-1]:.6g}; enlarge nu_max"
         )
     half_edges = bin_edges[n_bins // 2:]
-    half, _ = np.histogram(values, bins=half_edges, weights=pair_mass[positive])
+    half, _ = np.histogram(values, bins=half_edges, weights=pair_mass)
     return np.concatenate([half[::-1], half])
 
 
@@ -175,24 +183,22 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarra
     """
     n = ps.site_count
     eps = ps.eps_deg
-    nu = ps.frequencies()
-    degenerate = np.abs(nu) <= eps
+    positive, nu_positive, degenerate = _split_pairs(ps)
     if p.temperature == 0.0:
         if np.abs(ps.energies - p.fermi_level).min() <= eps:
             raise ValueError(
                 "T = 0 conductivity measure undefined: fermi_level within "
                 "eps_deg of an eigenvalue"
             )
-        atom = _t0_atom_mass(ps, p, t0_atom)
+        atom = _t0_atom_mass(ps, degenerate, p, t0_atom)
     else:
         if t0_atom not in (T0_ATOM_PSI_DENSITY, T0_ATOM_ZERO):
             raise ValueError(f"unknown t0_atom mode {t0_atom!r}")
-        mid = 0.5 * (ps.energies[:, None] + ps.energies[None, :])
-        tangent = fermi_derivative_neg(mid[degenerate], p)
+        tangent = fermi_derivative_neg(_midpoints(ps, degenerate), p)
         atom = np.pi / n * float((ps.velocity_abs2[degenerate] * tangent).sum())
     weights = pair_weight_matrix(ps.energies, p, eps)
-    pair_mass = (np.pi / n) * ps.velocity_abs2 * weights
-    mass = _mirror_bin(ps, pair_mass, bin_edges)
+    pair_mass = (np.pi / n) * ps.velocity_abs2[positive] * weights[positive]
+    mass = _mirror_bin(nu_positive, pair_mass, bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=mass,
@@ -201,7 +207,7 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarra
     )
 
 
-def _t0_atom_mass(ps: PairSpectrum, p: ThermoParams, mode: str) -> float:
+def _t0_atom_mass(ps: PairSpectrum, degenerate: tuple, p: ThermoParams, mode: str) -> float:
     if mode == T0_ATOM_ZERO:
         return 0.0
     if mode != T0_ATOM_PSI_DENSITY:
@@ -209,18 +215,15 @@ def _t0_atom_mass(ps: PairSpectrum, p: ThermoParams, mode: str) -> float:
     # Gaussian-kernel estimate of the diagonal-measure density at mu.
     dos_width = (ps.bounds[1] - ps.bounds[0]) / (2 * int(np.ceil(np.sqrt(ps.site_count))))
     bandwidth = 4.0 * dos_width
-    nu = ps.frequencies()
-    degenerate = np.abs(nu) <= ps.eps_deg
-    mid = 0.5 * (ps.energies[:, None] + ps.energies[None, :])
-    kernel = np.exp(-0.5 * ((mid[degenerate] - p.fermi_level) / bandwidth) ** 2)
+    kernel = np.exp(-0.5 * ((_midpoints(ps, degenerate) - p.fermi_level) / bandwidth) ** 2)
     kernel /= bandwidth * np.sqrt(2.0 * np.pi)
     return np.pi / ps.site_count * float((ps.velocity_abs2[degenerate] * kernel).sum())
 
 
 def upsilon_measure(ps: PairSpectrum, bin_edges: np.ndarray) -> MeasureHistogram:
     """Temperature-independent velocity pair measure; no pi factor, no atom."""
-    pair_mass = ps.velocity_abs2 / ps.site_count
-    mass = _mirror_bin(ps, pair_mass, bin_edges)
+    positive, nu_positive, _ = _split_pairs(ps)
+    mass = _mirror_bin(nu_positive, ps.velocity_abs2[positive] / ps.site_count, bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=mass,
@@ -238,11 +241,9 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
     """
     if bin_edges is None:
         bin_edges = energy_bins(ps.bounds, ps.site_count)
-    nu = ps.frequencies()
-    degenerate = np.abs(nu) <= ps.eps_deg
-    e_rows = np.broadcast_to(ps.energies[:, None], nu.shape)
+    _, _, degenerate = _split_pairs(ps)
     mass, _ = np.histogram(
-        e_rows[degenerate],
+        ps.energies[degenerate[0]],
         bins=bin_edges,
         weights=np.pi / ps.site_count * ps.velocity_abs2[degenerate],
     )
@@ -256,10 +257,8 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
 
 def psi_weight(ps: PairSpectrum, weight_fn) -> float:
     """Integrate a scalar function against the exact degenerate-pair point measure."""
-    nu = ps.frequencies()
-    degenerate = np.abs(nu) <= ps.eps_deg
-    mid = 0.5 * (ps.energies[:, None] + ps.energies[None, :])
-    values = np.asarray(weight_fn(mid[degenerate]), dtype=float)
+    _, _, degenerate = _split_pairs(ps)
+    values = np.asarray(weight_fn(_midpoints(ps, degenerate)), dtype=float)
     return np.pi / ps.site_count * float((ps.velocity_abs2[degenerate] * values).sum())
 
 
@@ -281,10 +280,11 @@ class SumRuleReport:
         return self.gap_mean
 
 
-def sum_rule_mass(batch: list[SpectralData], lattice: LatticeSpec,
-                  p: ThermoParams, velocity: np.ndarray | None = None) -> SumRuleReport:
+def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRuleReport:
     """Compare ensemble-mean total mass with 2 pi <f(H)_{x+e1,x}> site-averaged.
 
+    records are realizations from ensemble.realization_pair_spectrum: the
+    left side reads each one's pair table, the right side its eigensystem.
     With hopping amplitude -1 the identity reads
         Sigma(R) = +2 pi (1/|Lambda|) sum_x Re <delta_{x+e1}, f(H) delta_x>,
     exact per realization up to wrap-around corrections that vanish rapidly
@@ -293,13 +293,11 @@ def sum_rule_mass(batch: list[SpectralData], lattice: LatticeSpec,
     """
     if lattice.boundary != PERIODIC:
         raise ValueError("sum rule requires periodic boundary")
-    if velocity is None:
-        velocity = build_velocity(lattice)
     forward = lattice.neighbor_shift(0, +1)
     cols = np.arange(lattice.site_count)
     lhs, rhs = [], []
-    for data in batch:
-        ps = pair_spectrum(data, velocity)
+    for record in records:
+        ps, data = record.pairs, record.spectral
         weights = pair_weight_matrix(ps.energies, p, ps.eps_deg)
         lhs.append(np.pi / ps.site_count * float((ps.velocity_abs2 * weights).sum()))
         f_h = (data.vectors * fermi(data.energies, p)) @ data.vectors.conj().T
@@ -307,7 +305,7 @@ def sum_rule_mass(batch: list[SpectralData], lattice: LatticeSpec,
     lhs = np.array(lhs)
     rhs = np.array(rhs)
     gap = lhs - rhs
-    n = len(batch)
+    n = len(records)
     if n < 2:
         raise ValueError("sum rule needs at least 2 realizations for a stderr")
     root_n = np.sqrt(n)
@@ -394,18 +392,18 @@ def convolution_check(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarray,
     """
     if p.temperature <= 0:
         raise ValueError("convolution_check requires T > 0")
+    from scipy.integrate import quad_vec  # slow to import, and needed only here
+
     direct = conductivity_measure(ps, p, bin_edges).bin_mass
     energies = ps.energies
-    nu = ps.frequencies()
-    off = np.abs(nu) > ps.eps_deg
+    positive, nu_positive, _ = _split_pairs(ps)
+    rows, cols = np.nonzero(positive)
+    scaled = np.pi / ps.site_count * ps.velocity_abs2[positive]
 
     def node(level: float) -> np.ndarray:
         occupied = (energies <= level).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w0 = (occupied[None, :] - occupied[:, None]) / nu
-        w0[~off] = 0.0
-        pair_mass = np.pi / ps.site_count * ps.velocity_abs2 * w0
-        return fermi_derivative_neg(level, p) * _mirror_bin(ps, pair_mass, bin_edges)
+        w0 = (occupied[cols] - occupied[rows]) / nu_positive
+        return fermi_derivative_neg(level, p) * _mirror_bin(nu_positive, scaled * w0, bin_edges)
 
     scale = max(float(direct.max(initial=0.0)), 1e-300)
     oracle, quad_err = quad_vec(

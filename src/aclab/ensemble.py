@@ -16,6 +16,7 @@ import numpy as np
 
 from .conductivity import (
     MeasureHistogram,
+    PairSpectrum,
     conductivity_measure,
     frequency_bins,
     pair_spectrum,
@@ -24,7 +25,7 @@ from .conductivity import (
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
 from .lattice import LatticeSpec, build_laplacian, build_velocity
-from .spectral import build_hamiltonian, eigendecompose
+from .spectral import SpectralData, build_hamiltonian, eigendecompose
 from .thermo import ThermoParams
 
 SCALAR_KEYS = (
@@ -39,13 +40,20 @@ SCALAR_KEYS = (
 
 
 @dataclass(frozen=True)
+class Realization:
+    """One disorder realization: its potential, eigensystem and velocity pair table."""
+
+    potential: np.ndarray
+    spectral: SpectralData
+    pairs: PairSpectrum
+
+
+@dataclass(frozen=True)
 class RealizationMeasures:
     """Per-realization frequency measures plus their scalar summaries."""
 
-    index: int
     sigma: MeasureHistogram
     upsilon: MeasureHistogram
-    psi: MeasureHistogram
     scalars: dict
 
 
@@ -77,19 +85,22 @@ class SweepTable:
 
 
 def realization_pair_spectrum(lattice: LatticeSpec, spec: DisorderSpec,
-                              laplacian: np.ndarray, velocity: np.ndarray):
-    """Sample one potential, diagonalize, and tabulate the velocity pairs."""
+                              laplacian: np.ndarray, velocity: np.ndarray) -> Realization:
+    """Sample one potential, diagonalize, and tabulate the velocity pairs.
+
+    The one path from a disorder spec to an eigensystem: every command reads
+    what it needs of a realization from the returned record.
+    """
     potential = sample_potential(spec, lattice)
     h = build_hamiltonian(lattice, potential, laplacian=laplacian)
     data = eigendecompose(h, bounds=spectral_bounds(spec, lattice))
-    return pair_spectrum(data, velocity)
+    return Realization(potential=potential, spectral=data,
+                       pairs=pair_spectrum(data, velocity))
 
 
-def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray,
-                  index: int) -> RealizationMeasures:
+def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray) -> RealizationMeasures:
     sigma = conductivity_measure(ps, p, bin_edges)
     upsilon = upsilon_measure(ps, bin_edges)
-    psi = psi_diagonal(ps)
     near = sigma.near_zero_mass()
     total = sigma.total()
     scalars = {
@@ -97,12 +108,11 @@ def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray,
         "atom_mass": sigma.atom_at_zero,
         "gamma_mass": sigma.binned_total(),
         "upsilon_total": upsilon.total(),
-        "psi_total": psi.total(),
+        "psi_total": psi_diagonal(ps).total(),
         "near_zero_mass": near,
         "near_zero_fraction": near / total if total > 0 else 0.0,
     }
-    return RealizationMeasures(index=index, sigma=sigma, upsilon=upsilon,
-                               psi=psi, scalars=scalars)
+    return RealizationMeasures(sigma=sigma, upsilon=upsilon, scalars=scalars)
 
 
 def _map_indices(worker, n: int, threads: int) -> list:
@@ -112,11 +122,37 @@ def _map_indices(worker, n: int, threads: int) -> list:
         return list(pool.map(worker, range(n)))
 
 
+def _pair_spectra(lattice: LatticeSpec, spec: DisorderSpec, operators: tuple,
+                  n: int, threads: int, summarize) -> list:
+    """summarize(pair spectrum) of the realizations 0..n-1 of spec.
+
+    Only the pair table leaves the pipeline record, so the eigenvectors are
+    released before any binning.
+    """
+    laplacian, velocity = operators
+
+    def worker(i: int):
+        ps = realization_pair_spectrum(lattice, spec.with_index(i), laplacian,
+                                       velocity).pairs
+        return summarize(ps)
+
+    return _map_indices(worker, n, threads)
+
+
 def _mean_stderr(values: np.ndarray) -> tuple:
     n = len(values)
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
     return mean, stderr
+
+
+def _scalar_summary(results: list) -> dict:
+    """SCALAR_KEYS -> (mean, stderr) over the realizations, in key order."""
+    out = {}
+    for key in SCALAR_KEYS:
+        mean, stderr = _mean_stderr(np.array([r.scalars[key] for r in results]))
+        out[key] = (float(mean), float(stderr))
+    return out
 
 
 def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
@@ -128,23 +164,14 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
     bounds = spectral_bounds(spec, lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(bounds, lattice.site_count)
-    laplacian = build_laplacian(lattice)
-    velocity = build_velocity(lattice)
-
-    def worker(i: int) -> RealizationMeasures:
-        ps = realization_pair_spectrum(lattice, spec.with_index(i), laplacian, velocity)
-        return _measures_for(ps, p, bin_edges, i)
-
-    results = _map_indices(worker, n, threads)
+    operators = (build_laplacian(lattice), build_velocity(lattice))
+    results = _pair_spectra(lattice, spec, operators, n, threads,
+                            lambda ps: _measures_for(ps, p, bin_edges))
     sigma_stack = np.array([r.sigma.bin_mass for r in results])
     atom_stack = np.array([r.sigma.atom_at_zero for r in results])
     upsilon_stack = np.array([r.upsilon.bin_mass for r in results])
     sigma_mean, sigma_stderr = _mean_stderr(sigma_stack)
     atom_mean, atom_stderr = _mean_stderr(atom_stack)
-    scalars = {}
-    for key in SCALAR_KEYS:
-        mean, stderr = _mean_stderr(np.array([r.scalars[key] for r in results]))
-        scalars[key] = (float(mean), float(stderr))
     return EnsembleResult(
         bin_edges=np.asarray(bin_edges, dtype=float),
         realizations=n,
@@ -153,7 +180,7 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
         atom_mean=float(atom_mean),
         atom_stderr=float(atom_stderr),
         upsilon_mean=upsilon_stack.mean(axis=0),
-        scalars=scalars,
+        scalars=_scalar_summary(results),
     )
 
 
@@ -173,11 +200,8 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
     bounds = spectral_bounds(spec, lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(bounds, lattice.site_count)
-    laplacian = build_laplacian(lattice)
-    velocity = build_velocity(lattice)
-    spectra = _map_indices(
-        lambda i: realization_pair_spectrum(lattice, spec.with_index(i), laplacian, velocity),
-        n, threads)
+    operators = (build_laplacian(lattice), build_velocity(lattice))
+    spectra = _pair_spectra(lattice, spec, operators, n, threads, lambda ps: ps)
 
     upsilon_tot = np.array([upsilon_measure(ps, bin_edges).total() for ps in spectra])
     psi_tot = np.array([psi_diagonal(ps).total() for ps in spectra])
@@ -231,26 +255,19 @@ def disorder_sweep(lattice: LatticeSpec, p: ThermoParams, lambda_grid,
     top_bounds = spectral_bounds(base_spec.with_strength(float(lambda_grid[-1])), lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(top_bounds, lattice.site_count)
-    laplacian = build_laplacian(lattice)
-    velocity = build_velocity(lattice)
+    operators = (build_laplacian(lattice), build_velocity(lattice))
 
     table = SweepTable(axis="disorder", grid=lambda_grid,
                        meta={"realizations": n, "temperature": p.temperature,
                              "fermi_level": p.fermi_level})
     for strength in lambda_grid:
-        spec = base_spec.with_strength(float(strength))
-
-        def worker(i: int) -> RealizationMeasures:
-            ps = realization_pair_spectrum(lattice, spec.with_index(i),
-                                           laplacian, velocity)
-            return _measures_for(ps, p, bin_edges, i)
-
-        results = _map_indices(worker, n, threads)
+        results = _pair_spectra(lattice, base_spec.with_strength(float(strength)),
+                                operators, n, threads,
+                                lambda ps: _measures_for(ps, p, bin_edges))
         row = {"strength": float(strength)}
-        for key in SCALAR_KEYS:
-            mean, stderr = _mean_stderr(np.array([r.scalars[key] for r in results]))
-            row[f"{key}_mean"] = float(mean)
-            row[f"{key}_stderr"] = float(stderr)
+        for key, (mean, stderr) in _scalar_summary(results).items():
+            row[f"{key}_mean"] = mean
+            row[f"{key}_stderr"] = stderr
         table.rows.append(row)
 
     positive = lambda_grid > 0

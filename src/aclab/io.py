@@ -63,16 +63,6 @@ def write_measure_csv(path, bin_edges: np.ndarray, mass: np.ndarray,
     _write_csv(path, ["bin_left", "bin_right", "mass", "stderr"], rows)
 
 
-def write_dos_csv(path, dos):
-    """Columns: bin_left, bin_right, mean_density, stderr."""
-    rows = [
-        (fmt(dos.bin_edges[i]), fmt(dos.bin_edges[i + 1]),
-         fmt(dos.density[i]), fmt(dos.density_stderr[i]))
-        for i in range(len(dos.mean_mass))
-    ]
-    _write_csv(path, ["bin_left", "bin_right", "mean_density", "stderr"], rows)
-
-
 def write_sweep_csv(path, table):
     """One row per grid point with every scalar summary column."""
     if not table.rows:

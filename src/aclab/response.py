@@ -213,6 +213,7 @@ class ExtractionResult:
     w_values: np.ndarray
     ratios: np.ndarray
     residual_rel: float
+    traces: tuple = field(repr=False)  # one ResponseTrace per alpha, same order
 
     def ratio_smallest_pair(self) -> float:
         return float(self.ratios[-1])
@@ -239,12 +240,9 @@ def linear_response_extract(hamiltonian: np.ndarray, position: np.ndarray,
         raise ValueError("alphas must be positive and strictly decreasing")
     if alphas[0] / alphas[-1] < 7.9:
         raise ValueError("alphas must span close to a decade")
-    w_values = []
-    for alpha in alphas:
-        trace = propagate_liouville(hamiltonian, position, pulse, float(alpha), p,
-                                    **propagate_kwargs)
-        w_values.append(absorbed_energy_td(trace).w_energy)
-    w_values = np.array(w_values)
+    traces = tuple(propagate_liouville(hamiltonian, position, pulse, float(alpha), p,
+                                       **propagate_kwargs) for alpha in alphas)
+    w_values = np.array([absorbed_energy_td(trace).w_energy for trace in traces])
     y = w_values / alphas ** 2
     design = np.column_stack([np.ones_like(alphas), alphas ** 2])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -266,6 +264,7 @@ def linear_response_extract(hamiltonian: np.ndarray, position: np.ndarray,
         w_values=w_values,
         ratios=ratios,
         residual_rel=residual_rel,
+        traces=traces,
     )
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import conductivity as cond
 from .config import RunConfig
-from .disorder import sample_potential, spectral_bounds
-from .ensemble import realization_pair_spectrum
+from .disorder import spectral_bounds
+from .ensemble import Realization, realization_pair_spectrum
 from .lattice import (
     DIRICHLET,
     PERIODIC,
@@ -22,10 +22,9 @@ from .lattice import (
     build_position,
     build_velocity,
 )
-from .response import absorbed_energy_lr, absorbed_energy_td, linear_response_extract, \
-    propagate_liouville
-from .spectral import build_hamiltonian, dos_histogram, eigendecompose, energy_bins, \
-    wegner_check
+from .response import ExtractionResult, absorbed_energy_lr, absorbed_energy_td, \
+    linear_response_extract, propagate_liouville
+from .spectral import build_hamiltonian, dos_histogram, energy_bins, wegner_check
 from .thermo import ThermoParams
 
 
@@ -70,9 +69,9 @@ def _skip(name, why) -> CheckResult:
 
 
 class _Context:
-    """Shared realizations so the battery does not re-diagonalize per check."""
+    """Shared realizations so the battery diagonalizes each one once."""
 
-    def __init__(self, config: RunConfig, threads: int = 1):
+    def __init__(self, config: RunConfig):
         self.config = config
         self.lattice = config.lattice
         self.disorder = config.disorder
@@ -84,24 +83,51 @@ class _Context:
             nu_max=config.bins.nu_max)
         self.laplacian = build_laplacian(self.lattice)
         self.velocity = build_velocity(self.lattice)
-        self._spectra = {}
+        self._records = []
+        self._sigmas = []
+
+    def realizations(self, n: int) -> list:
+        for i in range(len(self._records), n):
+            self._records.append(realization_pair_spectrum(
+                self.lattice, self.disorder.with_index(i), self.laplacian, self.velocity))
+        return self._records[:n]
 
     def pair_spectra(self, n: int) -> list:
-        for i in range(n):
-            if i not in self._spectra:
-                self._spectra[i] = realization_pair_spectrum(
-                    self.lattice, self.disorder.with_index(i),
-                    self.laplacian, self.velocity)
-        return [self._spectra[i] for i in range(n)]
+        return [r.pairs for r in self.realizations(n)]
+
+    def sigmas(self, n: int) -> list:
+        """Conductivity measures at the config's thermo and bins, one per realization."""
+        for ps in self.pair_spectra(n)[len(self._sigmas):]:
+            self._sigmas.append(cond.conductivity_measure(ps, self.thermo, self.bin_edges))
+        return self._sigmas[:n]
+
+
+def absorption_oracle(config: RunConfig, realization: Realization,
+                      laplacian: np.ndarray) -> tuple[ExtractionResult, float]:
+    """Time-domain alpha-ladder intercept W_lin and the measure-route W_lr.
+
+    Both come from the same realization: the ladder propagates its
+    Hamiltonian under the configured pulse, and W_lr integrates its
+    conductivity measure on a fine grid against |Ehat|^2.
+    """
+    lattice = config.lattice
+    dynamics = config.dynamics
+    h = build_hamiltonian(lattice, realization.potential, laplacian=laplacian)
+    extraction = linear_response_extract(
+        h, build_position(lattice), config.pulse, config.thermo, dynamics.alphas,
+        dt=dynamics.dt, dt_scale=dynamics.dt_scale,
+        tail_fraction=dynamics.tail_fraction)
+    ps = realization.pairs
+    fine = cond.frequency_bins(ps.bounds, lattice.site_count, bins_per_side=4096)
+    sigma = cond.conductivity_measure(ps, config.thermo, fine)
+    return extraction, absorbed_energy_lr(sigma, config.pulse)
 
 
 def check_velocity_position(ctx: _Context) -> CheckResult:
     name = "velocity_position"
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "position operator needs dirichlet boundary")
-    potential = sample_potential(ctx.disorder.with_index(0), ctx.lattice)
-    h = build_hamiltonian(ctx.lattice, potential, laplacian=ctx.laplacian)
-    data = eigendecompose(h, bounds=ctx.bounds)
+    data = ctx.realizations(1)[0].spectral
     x1 = build_position(ctx.lattice)
     d_eig = data.vectors.conj().T @ ctx.velocity @ data.vectors
     x_eig = data.vectors.conj().T @ x1 @ data.vectors
@@ -113,15 +139,8 @@ def check_velocity_position(ctx: _Context) -> CheckResult:
                    f"max |v_nm - i(E_n-E_m) x_nm| = {defect:.3e} (tol {tol:.1e})")
 
 
-def _sigma_set(ctx: _Context, n: int):
-    spectra = ctx.pair_spectra(n)
-    sigmas = [cond.conductivity_measure(ps, ctx.thermo, ctx.bin_edges)
-              for ps in spectra]
-    return spectra, sigmas
-
-
 def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
-    _, sigmas = _sigma_set(ctx, n)
+    sigmas = ctx.sigmas(n)
     worst = max(s.evenness_defect() for s in sigmas)
     tol = 1e-12
     return _result("evenness", worst <= tol, tol - worst,
@@ -129,7 +148,7 @@ def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
 
 
 def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
-    _, sigmas = _sigma_set(ctx, n)
+    sigmas = ctx.sigmas(n)
     worst = min(min(s.bin_mass.min(initial=0.0), s.atom_at_zero) for s in sigmas)
     return _result("positivity", worst >= 0.0, worst,
                    f"smallest mass {worst:.3e} over {n} realizations")
@@ -149,7 +168,7 @@ def check_support(ctx: _Context, n: int = 8) -> CheckResult:
 
 
 def check_decomposition(ctx: _Context, n: int = 8) -> CheckResult:
-    _, sigmas = _sigma_set(ctx, n)
+    sigmas = ctx.sigmas(n)
     worst = max(abs(s.total() - (s.atom_at_zero + s.binned_total())) /
                 max(s.total(), 1e-300) for s in sigmas)
     tol = 1e-12
@@ -221,13 +240,7 @@ def check_sum_rule(ctx: _Context, n: int) -> CheckResult:
         return _skip(name, "covariance argument needs periodic boundary")
     if n < 2:
         return _skip(name, "needs at least 2 realizations for a stderr")
-    batch = []
-    for i in range(n):
-        potential = sample_potential(ctx.disorder.with_index(i), ctx.lattice)
-        h = build_hamiltonian(ctx.lattice, potential, laplacian=ctx.laplacian)
-        batch.append(eigendecompose(h, bounds=ctx.bounds))
-    report = cond.sum_rule_mass(batch, ctx.lattice, ctx.thermo,
-                                velocity=ctx.velocity)
+    report = cond.sum_rule_mass(ctx.realizations(n), ctx.lattice, ctx.thermo)
     allowance = 3.0 * report.gap_stderr_combined + 1e-12 * abs(report.lhs_mean)
     ok = abs(report.gap_mean) <= allowance
     return _result(name, ok, allowance - abs(report.gap_mean),
@@ -239,14 +252,9 @@ def check_wegner(ctx: _Context, n: int) -> CheckResult:
     name = "wegner"
     if ctx.disorder.strength <= 0:
         return _skip(name, "bound is vacuous at lambda = 0")
-    batch = []
-    for i in range(n):
-        potential = sample_potential(ctx.disorder.with_index(i), ctx.lattice)
-        h = build_hamiltonian(ctx.lattice, potential, laplacian=ctx.laplacian)
-        batch.append(eigendecompose(h, bounds=ctx.bounds))
     edges = energy_bins(ctx.bounds, ctx.lattice.site_count,
                         n_bins=ctx.config.bins.dos_bins)
-    dos = dos_histogram(batch, edges)
+    dos = dos_histogram([r.spectral for r in ctx.realizations(n)], edges)
     report = wegner_check(dos, ctx.disorder)
     return _result(name, report.passed, -report.worst_margin,
                    f"worst bin density excess {report.worst_margin:+.3e} "
@@ -259,7 +267,7 @@ def check_energy_routes(ctx: _Context) -> CheckResult:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
-    potential = sample_potential(ctx.disorder.with_index(0), ctx.lattice)
+    potential = ctx.realizations(1)[0].potential
     h = build_hamiltonian(ctx.lattice, potential, laplacian=ctx.laplacian)
     x1 = build_position(ctx.lattice)
     dt = ctx.config.dynamics.route_check_dt or 2.5e-4
@@ -278,19 +286,8 @@ def check_oracle_energy(ctx: _Context) -> CheckResult:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
-    potential = sample_potential(ctx.disorder.with_index(0), ctx.lattice)
-    h = build_hamiltonian(ctx.lattice, potential, laplacian=ctx.laplacian)
-    x1 = build_position(ctx.lattice)
-    data = eigendecompose(h, bounds=ctx.bounds)
-    ps = cond.pair_spectrum(data, ctx.velocity)
-    fine = cond.frequency_bins(ctx.bounds, ctx.lattice.site_count,
-                               bins_per_side=4096)
-    sigma = cond.conductivity_measure(ps, ctx.thermo, fine)
-    w_lr = absorbed_energy_lr(sigma, ctx.config.pulse)
-    extraction = linear_response_extract(
-        h, x1, ctx.config.pulse, ctx.thermo, ctx.config.dynamics.alphas,
-        dt=ctx.config.dynamics.dt, dt_scale=ctx.config.dynamics.dt_scale,
-        tail_fraction=ctx.config.dynamics.tail_fraction)
+    extraction, w_lr = absorption_oracle(ctx.config, ctx.realizations(1)[0],
+                                         ctx.laplacian)
     rel = abs(extraction.w_lin - w_lr) / max(w_lr, 1e-300)
     ratio = extraction.ratio_smallest_pair()
     ok = rel <= 0.05 and 3.8 <= ratio <= 4.2
@@ -299,8 +296,8 @@ def check_oracle_energy(ctx: _Context) -> CheckResult:
                    f"W(2a)/W(a) = {ratio:.3f}")
 
 
-def run_verify(config: RunConfig, threads: int = 1) -> VerifyReport:
-    ctx = _Context(config, threads=threads)
+def run_verify(config: RunConfig) -> VerifyReport:
+    ctx = _Context(config)
     n = config.realizations
     small = min(n, 8)
     medium = min(n, 32)

@@ -1,10 +1,25 @@
 import json
 
+import numpy as np
 import pytest
 
 import aclab.conductivity
 from aclab.cli import main
 from aclab.config import ConfigError, from_dict, load
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count numpy.linalg.eigh calls made while the test runs."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 def small_config(tmp_path, **overrides):
@@ -160,6 +175,22 @@ class TestAbsorbCommand:
         assert report["w_lr"] < 1e-20
         assert abs(report["w_lin"]) < 1e-6
 
+    def test_one_eigensolve_plus_one_ladder(self, tmp_path, eigh_calls):
+        # one eigensolve for the realization, then one per propagation step
+        # (plus the initial state) for each alpha; no extra propagation
+        alphas = [0.2, 0.1, 0.05, 0.025]
+        path, _ = small_config(
+            tmp_path,
+            lattice={"dimension": 1, "linear_size": 2, "boundary": "dirichlet"},
+            disorder={"strength": 0.0, "seed": 1},
+            thermo={"temperature": 0.0, "fermi_level": 0.0},
+            pulse={"amplitude": 1.0, "width": 6.0, "carrier": 2.0},
+            dynamics={"alphas": alphas, "dt": 0.01},
+        )
+        assert main(["absorb", "--config", str(path)]) == 0
+        rows = len((tmp_path / "out" / "trace.csv").read_text().splitlines()) - 1
+        assert len(eigh_calls) == 1 + len(alphas) * rows
+
     def test_periodic_rejected(self, tmp_path, capsys):
         path, _ = small_config(
             tmp_path, pulse={"amplitude": 1.0, "width": 4.0, "carrier": 2.0})
@@ -189,6 +220,13 @@ class TestVerifyCommand:
                    for line in lines)
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["report"]["passed"] is True
+
+    def test_one_eigensolve_per_realization(self, tmp_path, eigh_calls):
+        path, _ = small_config(tmp_path, lattice={
+            "dimension": 1, "linear_size": 16, "boundary": "periodic"},
+            ensemble={"realizations": 12})
+        assert main(["verify", "--config", str(path)]) == 0
+        assert len(eigh_calls) == 12
 
     def test_fault_injection_reported(self, tmp_path, capsys, monkeypatch):
         # negate every pair weight: positivity must fail and the exit reflect it

@@ -4,6 +4,7 @@ import pytest
 from aclab import (
     DisorderSpec,
     LatticeSpec,
+    Realization,
     ThermoParams,
     build_laplacian,
     build_velocity,
@@ -16,6 +17,7 @@ from aclab import (
     pair_spectrum,
     psi_diagonal,
     psi_weight,
+    realization_pair_spectrum,
     sandwich_check,
     spectral_bounds,
     sum_rule_mass,
@@ -206,9 +208,10 @@ class TestHistogramInvariants:
 
 class TestSumRule:
     def test_clean_ring_exact(self):
-        _, data, _ = _free_ring(32)
+        _, data, ps = _free_ring(32)
         lattice = LatticeSpec(1, 32, "periodic")
-        report = sum_rule_mass([data, data], lattice, ThermoParams(1.0, 0.0))
+        record = Realization(np.zeros(32), data, ps)
+        report = sum_rule_mass([record, record], lattice, ThermoParams(1.0, 0.0))
         assert abs(report.gap_mean) < 1e-10
         # closed form: +2 pi mean_k cos(k) f(eps(k)) under hopping -1
         k = 2 * np.pi * np.arange(32) / 32
@@ -222,15 +225,18 @@ class TestSumRule:
     def test_statistical_agreement_with_disorder(self):
         lattice = LatticeSpec(1, 16, "periodic")
         disorder = DisorderSpec(strength=1.0, seed=MASTER_SEED)
-        batch = [make_pair_spectrum(lattice, disorder, i)[0] for i in range(60)]
+        kin, vel = build_laplacian(lattice), build_velocity(lattice)
+        batch = [realization_pair_spectrum(lattice, disorder.with_index(i), kin, vel)
+                 for i in range(60)]
         report = sum_rule_mass(batch, lattice, ThermoParams(1.0, 0.0))
         assert abs(report.gap_mean) <= 3 * report.gap_stderr_combined
         assert report.lhs_mean > 1.0  # nontrivial total mass at these parameters
 
     def test_rejects_dirichlet(self, two_site):
-        lattice, _, data, _ = two_site
+        lattice, _, data, ps = two_site
+        record = Realization(np.zeros(2), data, ps)
         with pytest.raises(ValueError, match="periodic"):
-            sum_rule_mass([data, data], lattice, ThermoParams(1.0, 0.0))
+            sum_rule_mass([record, record], lattice, ThermoParams(1.0, 0.0))
 
 
 class TestSandwich:
