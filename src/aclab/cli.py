@@ -153,6 +153,13 @@ def cmd_absorb(config: RunConfig) -> int:
         fit_residual_rel=extraction.residual_rel,
         alphas=list(extraction.alphas),
         w_values=list(extraction.w_values),
+        propagation={
+            "steps": trace.meta["steps"],
+            "dt": trace.dt,
+            "eigh_block": trace.meta["eigh_block"],
+            "trace_drift": [t.trace_drift for t in extraction.traces],
+            "spectrum_drift": [t.spectrum_drift for t in extraction.traces],
+        },
         code_version=__version__,
     ))
     print(json.dumps({"status": "ok", "files": [str(out / "trace.csv"),

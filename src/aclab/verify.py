@@ -163,7 +163,7 @@ def check_support(ctx: _Context, n: int = 8) -> CheckResult:
     for ps in spectra:
         hist = cond.conductivity_measure(ps, ctx.thermo, wide)
         worst = max(worst, hist.mass_outside(diameter))
-    return _result("support", worst == 0.0, -worst,
+    return _result("support", worst == 0.0, 0.0 - worst,
                    f"mass beyond the spectral diameter {worst:.3e} (must be exactly 0)")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ import pytest
 import aclab.conductivity
 from aclab.cli import main
 from aclab.config import ConfigError, from_dict, load
+from aclab.verify import run_verify
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Count numpy.linalg.eigh calls made while the test runs."""
+    """Count the matrices numpy.linalg.eigh diagonalizes while the test runs."""
     calls = []
     original = np.linalg.eigh
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(math.prod(np.shape(a)[:-2]))
+        return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
@@ -176,8 +178,8 @@ class TestAbsorbCommand:
         assert abs(report["w_lin"]) < 1e-6
 
     def test_one_eigensolve_plus_one_ladder(self, tmp_path, eigh_calls):
-        # one eigensolve for the realization, then one per propagation step
-        # (plus the initial state) for each alpha; no extra propagation
+        # one eigensolve for the realization, one for the equilibrium state the
+        # ladder shares, then one per propagation step for each alpha
         alphas = [0.2, 0.1, 0.05, 0.025]
         path, _ = small_config(
             tmp_path,
@@ -189,7 +191,27 @@ class TestAbsorbCommand:
         )
         assert main(["absorb", "--config", str(path)]) == 0
         rows = len((tmp_path / "out" / "trace.csv").read_text().splitlines()) - 1
-        assert len(eigh_calls) == 1 + len(alphas) * rows
+        assert sum(eigh_calls) == 2 + len(alphas) * (rows - 1)
+
+    def test_propagation_block_recorded(self, tmp_path):
+        alphas = [0.2, 0.1, 0.05, 0.025]
+        path, _ = small_config(
+            tmp_path,
+            lattice={"dimension": 1, "linear_size": 4, "boundary": "dirichlet"},
+            disorder={"strength": 1.0, "seed": 5},
+            pulse={"amplitude": 1.0, "width": 2.0, "carrier": 2.0},
+            dynamics={"alphas": alphas, "dt": 0.02},
+        )
+        assert main(["absorb", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        block = json.loads((out / "absorb.json").read_text())["propagation"]
+        rows = len((out / "trace.csv").read_text().splitlines()) - 1
+        assert block["steps"] == rows - 1
+        assert block["dt"] <= 0.02
+        assert block["eigh_block"] >= 1
+        for key in ("trace_drift", "spectrum_drift"):
+            assert len(block[key]) == len(alphas)
+            assert all(0.0 <= d < 1e-8 for d in block[key])
 
     def test_periodic_rejected(self, tmp_path, capsys):
         path, _ = small_config(
@@ -226,7 +248,15 @@ class TestVerifyCommand:
             "dimension": 1, "linear_size": 16, "boundary": "periodic"},
             ensemble={"realizations": 12})
         assert main(["verify", "--config", str(path)]) == 0
-        assert len(eigh_calls) == 12
+        assert sum(eigh_calls) == 12
+
+    def test_support_margin_is_positive_zero(self, tmp_path):
+        path, _ = small_config(tmp_path, ensemble={"realizations": 4})
+        report = run_verify(load(path))
+        support = next(c for c in report.checks if c.name == "support")
+        assert support.status == "pass"
+        assert support.margin == 0.0
+        assert math.copysign(1.0, support.margin) == 1.0
 
     def test_fault_injection_reported(self, tmp_path, capsys, monkeypatch):
         # negate every pair weight: positivity must fail and the exit reflect it

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import aclab.response
 from aclab import (
     DisorderSpec,
     FieldPulse,
@@ -9,6 +10,7 @@ from aclab import (
     ThermoParams,
     absorbed_energy_lr,
     absorbed_energy_td,
+    build_hamiltonian,
     build_laplacian,
     build_position,
     conductivity_measure,
@@ -17,6 +19,7 @@ from aclab import (
     inphase_current,
     linear_response_extract,
     propagate_liouville,
+    sample_potential,
 )
 
 from conftest import make_pair_spectrum
@@ -115,6 +118,47 @@ class TestPropagation:
         with pytest.raises(ValueError, match="diagonal"):
             propagate_liouville(h, np.array([[0.0, 1.0], [1.0, 0.0]]), pulse,
                                 0.1, P_COLD)
+
+
+class TestStackedLadder:
+    ALPHAS = [0.2, 0.1, 0.05, 0.025]
+
+    @pytest.fixture
+    def open_six(self):
+        lattice = LatticeSpec(1, 6, "dirichlet")
+        potential = sample_potential(DisorderSpec(strength=1.0, seed=7), lattice)
+        h = build_hamiltonian(lattice, potential, laplacian=build_laplacian(lattice))
+        return h, build_position(lattice)
+
+    # 2 t_max / dt = 20.5 -> 21 steps (one partial block); 74.5 -> 75 steps
+    # (full blocks plus a tail)
+    @pytest.mark.parametrize("dt, steps", [(2.0 / 20.5, 21), (2.0 / 74.5, 75)])
+    def test_each_rung_matches_single_alpha_bit_for_bit(self, open_six, dt, steps):
+        h, x1 = open_six
+        pulse = FieldPulse(1.0, 0.5, carrier=2.0)
+        p = ThermoParams(1.0, 0.0)
+        ladder = propagate_liouville(h, x1, pulse, self.ALPHAS, p, dt=dt, t_max=1.0)
+        assert ladder.meta["steps"] == len(self.ALPHAS) * steps
+        assert steps < aclab.response._BLOCK_STEPS or steps % aclab.response._BLOCK_STEPS
+        assert ladder.current.shape == (len(self.ALPHAS), steps + 1)
+        rungs = ladder.rungs()
+        assert [r.alpha for r in rungs] == self.ALPHAS
+        for alpha, rung in zip(self.ALPHAS, rungs):
+            single = propagate_liouville(h, x1, pulse, alpha, p, dt=dt, t_max=1.0)
+            assert single.meta["steps"] == rung.meta["steps"] == steps
+            assert np.array_equal(rung.current, single.current)
+            assert np.array_equal(rung.energy, single.energy)
+            assert rung.trace_drift == single.trace_drift
+            assert rung.spectrum_drift == single.spectrum_drift
+        with pytest.raises(ValueError, match="rungs"):
+            absorbed_energy_td(ladder)
+
+    def test_drift_gate_runs_on_the_ladder(self, open_six, monkeypatch):
+        h, x1 = open_six
+        monkeypatch.setattr(aclab.response, "SPECTRUM_DRIFT_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="spectrum drift"):
+            propagate_liouville(h, x1, FieldPulse(1.0, 0.5, carrier=2.0), self.ALPHAS,
+                                ThermoParams(1.0, 0.0), dt=0.05, t_max=1.0)
 
 
 class TestEnergyRoutes:
