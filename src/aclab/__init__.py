@@ -8,14 +8,13 @@ __version__ = "0.1.0"
 from .conductivity import (
     MeasureHistogram,
     PairSpectrum,
-    complex_conductivity,
     conductivity_measure,
     convolution_check,
     degeneracy_threshold,
     frequency_bins,
+    gamma_mass,
     pair_spectrum,
     psi_diagonal,
-    psi_weight,
     sandwich_check,
     sum_rule_mass,
     upsilon_measure,
@@ -43,8 +42,6 @@ from .response import (
     ResponseTrace,
     absorbed_energy_lr,
     absorbed_energy_td,
-    fourier_transform,
-    inphase_current,
     linear_response_extract,
     propagate_liouville,
 )

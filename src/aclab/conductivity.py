@@ -1,10 +1,19 @@
 """Velocity pair spectra and the finite-volume frequency measures built from them.
 
 Per realization, the dissipative response is encoded by the eigenpair table
-(nu_nm = E_n - E_m, |<n|v|m>|^2).  Frequency histograms are symmetric grids
-about zero with the zero-frequency atom stored outside the bin array; bin
-masses are accumulated over positive frequencies only and mirrored, so
-evenness holds bit for bit and the atom never contaminates a central bin.
+(nu_nm = E_n - E_m, |<n|v|m>|^2).  pair_spectrum splits that table once, at
+the degeneracy threshold eps_deg, and every measure reads the split:
+
+- the pairs with nu > eps_deg as flat arrays in row-major (n, m) order:
+  rows and cols (int32), nu and velocity_abs2.  Their partners (m, n) at -nu
+  carry the same |v|^2 and are not stored.
+- the ordered pairs with |nu| <= eps_deg, diagonal included, as
+  degenerate_rows, degenerate_cols (int32) and degenerate_abs2.  They feed
+  the zero-frequency atom and the diagonal measure.
+
+No n x n array outlives pair_spectrum.  Frequency histograms are symmetric
+grids about zero with the atom stored outside the bin array; bins accumulate
+the stored pairs and are mirrored, so evenness holds bit for bit.
 
 Trace per unit volume is realized as Tr / site_count throughout.
 """
@@ -17,14 +26,12 @@ import numpy as np
 
 from .lattice import LatticeSpec, PERIODIC
 from .spectral import SpectralData, energy_bins
-from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight_matrix
+from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
 
 DEGENERACY_SCALE = 1e-10
-EVEN_TOL = 1e-12
-DECOMPOSITION_TOL = 1e-12
-
-T0_ATOM_PSI_DENSITY = "psi-density"
-T0_ATOM_ZERO = "zero"
+EVEN_TOL = 1e-12           # negative bins against their mirror, relative to the largest bin
+DECOMPOSITION_TOL = 1e-12  # binned against unbinned Gamma mass, relative
+CONVOLUTION_TOL = 1e-8     # direct against quadrature thermal bins, relative
 
 
 def degeneracy_threshold(bounds: tuple[float, float]) -> float:
@@ -34,20 +41,22 @@ def degeneracy_threshold(bounds: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class PairSpectrum:
-    """Eigenpair frequencies and squared velocity matrix elements of one realization."""
+    """Eigenpair table of one realization, split at eps_deg (see the module docstring)."""
 
     energies: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    nu: np.ndarray
     velocity_abs2: np.ndarray
+    degenerate_rows: np.ndarray
+    degenerate_cols: np.ndarray
+    degenerate_abs2: np.ndarray
     site_count: int
     bounds: tuple[float, float]
 
     @property
     def eps_deg(self) -> float:
         return degeneracy_threshold(self.bounds)
-
-    def frequencies(self) -> np.ndarray:
-        e = self.energies
-        return e[:, None] - e[None, :]
 
 
 @dataclass
@@ -118,34 +127,65 @@ def frequency_bins(bounds: tuple[float, float], site_count: int,
 
 
 def pair_spectrum(data: SpectralData, velocity: np.ndarray) -> PairSpectrum:
-    """Tabulate |<n|v|m>|^2 for all eigenpairs of one realization."""
+    """Tabulate |<n|v|m>|^2 for all eigenpairs of one realization, split at eps_deg.
+
+    The measures read this split; none of them compares a pair frequency with
+    eps_deg again.
+    """
     if velocity.shape != data.vectors.shape:
         raise ValueError(
             f"velocity shape {velocity.shape} does not match eigenbasis "
             f"{data.vectors.shape}"
         )
-    d = data.vectors.conj().T @ velocity @ data.vectors
-    bounds = data.bounds
-    if bounds is None:
-        bounds = (float(data.energies[0]), float(data.energies[-1]))
+    bounds = data.bounds or (float(data.energies[0]), float(data.energies[-1]))
+    eps = degeneracy_threshold(bounds)
+    abs2 = np.abs(data.vectors.conj().T @ velocity @ data.vectors) ** 2
+    e = data.energies
+    nu = e[:, None] - e[None, :]
+    positive = nu > eps
+    degenerate = np.abs(nu) <= eps
+    rows, cols = np.nonzero(positive)
+    degenerate_rows, degenerate_cols = np.nonzero(degenerate)
     return PairSpectrum(
-        energies=data.energies,
-        velocity_abs2=np.abs(d) ** 2,
+        energies=e,
+        rows=rows.astype(np.int32),
+        cols=cols.astype(np.int32),
+        nu=nu[positive],
+        velocity_abs2=abs2[positive],
+        degenerate_rows=degenerate_rows.astype(np.int32),
+        degenerate_cols=degenerate_cols.astype(np.int32),
+        degenerate_abs2=abs2[degenerate],
         site_count=data.site_count,
         bounds=bounds,
     )
 
 
-def _split_pairs(ps: PairSpectrum) -> tuple:
-    """Mask and frequencies of the nu > eps_deg pairs (binned, then mirrored),
-    and the (row, column) indices of the |nu| <= eps_deg pairs (the atom)."""
-    nu = ps.frequencies()
-    positive = nu > ps.eps_deg
-    return positive, nu[positive], np.nonzero(np.abs(nu) <= ps.eps_deg)
+def _pair_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
+    """(pi / site_count) |v|^2 w(E_n, E_m) of the nu > eps_deg pairs, in table order."""
+    e = ps.energies
+    weights = pair_weight(e[ps.rows], e[ps.cols], p, ps.eps_deg)
+    return (np.pi / ps.site_count) * ps.velocity_abs2 * weights
 
 
-def _midpoints(ps: PairSpectrum, pairs: tuple) -> np.ndarray:
-    return 0.5 * (ps.energies[pairs[0]] + ps.energies[pairs[1]])
+def _degenerate_mass(ps: PairSpectrum, values: np.ndarray) -> float:
+    """(pi / site_count) sum of |v|^2 * values over the degenerate pairs."""
+    return np.pi / ps.site_count * float((ps.degenerate_abs2 * values).sum())
+
+
+def _tangent_atom(ps: PairSpectrum, p: ThermoParams) -> float:
+    """Degenerate pairs weighted by pair_weight: (-f)'(midpoint) at T > 0, 0 at T = 0."""
+    e = ps.energies
+    return _degenerate_mass(ps, pair_weight(e[ps.degenerate_rows], e[ps.degenerate_cols],
+                                            p, ps.eps_deg))
+
+
+def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> float:
+    """Unbinned dissipative mass 2 (pi / site_count) sum |v|^2 w over the nu > eps_deg pairs.
+
+    The factor 2 counts the mirrored nu < -eps_deg partners; a measure's
+    binned_total() must reproduce it up to summation order.
+    """
+    return 2.0 * float(_pair_mass(ps, p).sum())
 
 
 def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
@@ -168,37 +208,29 @@ def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
     return np.concatenate([half[::-1], half])
 
 
-def conductivity_measure(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarray,
-                         t0_atom: str = T0_ATOM_PSI_DENSITY) -> MeasureHistogram:
+def conductivity_measure(ps: PairSpectrum, p: ThermoParams,
+                         bin_edges: np.ndarray) -> MeasureHistogram:
     """Finite-volume conductivity measure of one realization.
 
     Off-degenerate pairs carry (pi / site_count) |v_nm|^2 w(E_n, E_m) at
     nu_nm, with w the Fermi difference quotient.  Degenerate pairs feed the
-    atom: weight (-f)'(midpoint) for T > 0; at T = 0 the atom defaults to the
+    atom: weight (-f)'(midpoint) for T > 0; at T = 0 the atom is the
     smoothed diagonal-measure density at mu (bandwidth 4 DOS bin widths,
-    an estimator choice) and t0_atom="zero" drops it.
+    an estimator choice).
 
     At T = 0 the Fermi level must stay farther than eps_deg from every
     eigenvalue; the measure is not defined on that exceptional set.
     """
-    n = ps.site_count
-    eps = ps.eps_deg
-    positive, nu_positive, degenerate = _split_pairs(ps)
     if p.temperature == 0.0:
-        if np.abs(ps.energies - p.fermi_level).min() <= eps:
+        if np.abs(ps.energies - p.fermi_level).min() <= ps.eps_deg:
             raise ValueError(
                 "T = 0 conductivity measure undefined: fermi_level within "
                 "eps_deg of an eigenvalue"
             )
-        atom = _t0_atom_mass(ps, degenerate, p, t0_atom)
+        atom = _zero_temperature_atom(ps, p)
     else:
-        if t0_atom not in (T0_ATOM_PSI_DENSITY, T0_ATOM_ZERO):
-            raise ValueError(f"unknown t0_atom mode {t0_atom!r}")
-        tangent = fermi_derivative_neg(_midpoints(ps, degenerate), p)
-        atom = np.pi / n * float((ps.velocity_abs2[degenerate] * tangent).sum())
-    weights = pair_weight_matrix(ps.energies, p, eps)
-    pair_mass = (np.pi / n) * ps.velocity_abs2[positive] * weights[positive]
-    mass = _mirror_bin(nu_positive, pair_mass, bin_edges)
+        atom = _tangent_atom(ps, p)
+    mass = _mirror_bin(ps.nu, _pair_mass(ps, p), bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=mass,
@@ -207,23 +239,20 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarra
     )
 
 
-def _t0_atom_mass(ps: PairSpectrum, degenerate: tuple, p: ThermoParams, mode: str) -> float:
-    if mode == T0_ATOM_ZERO:
-        return 0.0
-    if mode != T0_ATOM_PSI_DENSITY:
-        raise ValueError(f"unknown t0_atom mode {mode!r}")
+def _zero_temperature_atom(ps: PairSpectrum, p: ThermoParams) -> float:
     # Gaussian-kernel estimate of the diagonal-measure density at mu.
     dos_width = (ps.bounds[1] - ps.bounds[0]) / (2 * int(np.ceil(np.sqrt(ps.site_count))))
     bandwidth = 4.0 * dos_width
-    kernel = np.exp(-0.5 * ((_midpoints(ps, degenerate) - p.fermi_level) / bandwidth) ** 2)
+    e = ps.energies
+    midpoints = 0.5 * (e[ps.degenerate_rows] + e[ps.degenerate_cols])
+    kernel = np.exp(-0.5 * ((midpoints - p.fermi_level) / bandwidth) ** 2)
     kernel /= bandwidth * np.sqrt(2.0 * np.pi)
-    return np.pi / ps.site_count * float((ps.velocity_abs2[degenerate] * kernel).sum())
+    return _degenerate_mass(ps, kernel)
 
 
 def upsilon_measure(ps: PairSpectrum, bin_edges: np.ndarray) -> MeasureHistogram:
     """Temperature-independent velocity pair measure; no pi factor, no atom."""
-    positive, nu_positive, _ = _split_pairs(ps)
-    mass = _mirror_bin(nu_positive, ps.velocity_abs2[positive] / ps.site_count, bin_edges)
+    mass = _mirror_bin(ps.nu, ps.velocity_abs2 / ps.site_count, bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=mass,
@@ -241,11 +270,10 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
     """
     if bin_edges is None:
         bin_edges = energy_bins(ps.bounds, ps.site_count)
-    _, _, degenerate = _split_pairs(ps)
     mass, _ = np.histogram(
-        ps.energies[degenerate[0]],
+        ps.energies[ps.degenerate_rows],
         bins=bin_edges,
-        weights=np.pi / ps.site_count * ps.velocity_abs2[degenerate],
+        weights=np.pi / ps.site_count * ps.degenerate_abs2,
     )
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
@@ -253,13 +281,6 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
         atom_at_zero=0.0,
         meta={"kind": "psi", "axis": "energy"},
     )
-
-
-def psi_weight(ps: PairSpectrum, weight_fn) -> float:
-    """Integrate a scalar function against the exact degenerate-pair point measure."""
-    _, _, degenerate = _split_pairs(ps)
-    values = np.asarray(weight_fn(_midpoints(ps, degenerate)), dtype=float)
-    return np.pi / ps.site_count * float((ps.velocity_abs2[degenerate] * values).sum())
 
 
 @dataclass(frozen=True)
@@ -284,7 +305,8 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
     """Compare ensemble-mean total mass with 2 pi <f(H)_{x+e1,x}> site-averaged.
 
     records are realizations from ensemble.realization_pair_spectrum: the
-    left side reads each one's pair table, the right side its eigensystem.
+    left side is each one's gamma_mass plus its tangent atom, the right side
+    reads its eigensystem.
     With hopping amplitude -1 the identity reads
         Sigma(R) = +2 pi (1/|Lambda|) sum_x Re <delta_{x+e1}, f(H) delta_x>,
     exact per realization up to wrap-around corrections that vanish rapidly
@@ -298,8 +320,7 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
     lhs, rhs = [], []
     for record in records:
         ps, data = record.pairs, record.spectral
-        weights = pair_weight_matrix(ps.energies, p, ps.eps_deg)
-        lhs.append(np.pi / ps.site_count * float((ps.velocity_abs2 * weights).sum()))
+        lhs.append(gamma_mass(ps, p) + _tangent_atom(ps, p))
         f_h = (data.vectors * fermi(data.energies, p)) @ data.vectors.conj().T
         rhs.append(2.0 * np.pi * float(np.mean(f_h[forward, cols].real)))
     lhs = np.array(lhs)
@@ -381,8 +402,8 @@ class ConvolutionReport:
     passed: bool
 
 
-def convolution_check(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarray,
-                      rel_tol: float = 1e-8) -> ConvolutionReport:
+def convolution_check(ps: PairSpectrum, p: ThermoParams,
+                      bin_edges: np.ndarray) -> ConvolutionReport:
     """Verify the thermal bins equal int dE (-f)'(E) x (T=0 bins at level E).
 
     The integrand is evaluated by re-binning the zero-temperature measure at
@@ -396,14 +417,12 @@ def convolution_check(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarray,
 
     direct = conductivity_measure(ps, p, bin_edges).bin_mass
     energies = ps.energies
-    positive, nu_positive, _ = _split_pairs(ps)
-    rows, cols = np.nonzero(positive)
-    scaled = np.pi / ps.site_count * ps.velocity_abs2[positive]
+    scaled = np.pi / ps.site_count * ps.velocity_abs2
 
     def node(level: float) -> np.ndarray:
         occupied = (energies <= level).astype(float)
-        w0 = (occupied[cols] - occupied[rows]) / nu_positive
-        return fermi_derivative_neg(level, p) * _mirror_bin(nu_positive, scaled * w0, bin_edges)
+        w0 = (occupied[ps.cols] - occupied[ps.rows]) / ps.nu
+        return fermi_derivative_neg(level, p) * _mirror_bin(ps.nu, scaled * w0, bin_edges)
 
     scale = max(float(direct.max(initial=0.0)), 1e-300)
     oracle, quad_err = quad_vec(
@@ -422,22 +441,5 @@ def convolution_check(ps: PairSpectrum, p: ThermoParams, bin_edges: np.ndarray,
         max_rel_gap=max_rel,
         scale=scale,
         quad_error=float(quad_err),
-        passed=max_rel <= rel_tol,
+        passed=max_rel <= CONVOLUTION_TOL,
     )
-
-
-def complex_conductivity(sigma: MeasureHistogram, eta: float,
-                         nu_grid: np.ndarray) -> np.ndarray:
-    """Lorentzian-smoothed transform -(i/pi) int sigma(d lam) / (lam + nu - i eta).
-
-    Uses bin centers plus the atom; Re of the result is a positive Lorentzian
-    smearing of the measure for any eta > 0.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    lam = sigma.centers
-    denom = lam[None, :] + nu_grid[:, None] - 1j * eta
-    out = (sigma.bin_mass[None, :] / denom).sum(axis=1)
-    out = out + sigma.atom_at_zero / (nu_grid - 1j * eta)
-    return -1j / np.pi * out

@@ -30,6 +30,7 @@ from .conductivity import MeasureHistogram
 
 TRACE_DRIFT_TOL = 1e-10
 SPECTRUM_DRIFT_TOL = 1e-8
+FIT_TOL = 0.05  # alpha-ladder fit residual, relative to the data scale
 # Midpoint steps diagonalized by one stacked eigh; fewer when the block's
 # complex (steps, rungs, n, n) buffer would pass _BLOCK_BYTES.
 _BLOCK_STEPS = 32
@@ -66,11 +67,6 @@ class FieldPulse:
     def time_window(self, tail_fraction: float = 1e-13) -> float:
         """Half-window t_max with envelope tail mass below tail_fraction of the total."""
         return float(np.sqrt(2.0) * self.width * erfcinv(tail_fraction))
-
-
-def fourier_transform(pulse: FieldPulse, nu_grid) -> np.ndarray:
-    """Closed-form transform on a grid (no FFT for the built-in family)."""
-    return np.asarray(pulse.fourier(nu_grid), dtype=complex)
 
 
 @dataclass
@@ -269,13 +265,12 @@ class ExtractionResult:
 
 def linear_response_extract(hamiltonian: np.ndarray, position: np.ndarray,
                             pulse: FieldPulse, p, alphas,
-                            fit_tol: float = 0.05,
                             **propagate_kwargs) -> ExtractionResult:
     """Fit W(alpha)/alpha^2 = W_lin + c alpha^2 over a decreasing alpha ladder.
 
     Odd powers are excluded from the model (quadratic leading order).  The
     alphas must be positive, strictly decreasing, and span close to a decade.
-    A residual beyond fit_tol of the data scale raises instead of silently
+    A residual beyond FIT_TOL of the data scale raises instead of silently
     returning a noisy intercept, but only when the intercept itself rises
     above the residual: a pulse off the measure support yields data that is
     pure higher-order dribble and an intercept below noise, which is a valid
@@ -298,10 +293,10 @@ def linear_response_extract(hamiltonian: np.ndarray, position: np.ndarray,
     scale = max(np.abs(y).max(), 1e-300)
     residual_abs = float(np.abs(y - fitted).max())
     residual_rel = residual_abs / scale
-    if residual_rel > fit_tol and abs(coef[0]) > 3.0 * residual_abs:
+    if residual_rel > FIT_TOL and abs(coef[0]) > 3.0 * residual_abs:
         raise RuntimeError(
             f"alpha ladder too noisy for quadratic extraction: relative "
-            f"residual {residual_rel:.3e} above {fit_tol:.3e}"
+            f"residual {residual_rel:.3e} above {FIT_TOL:.3e}"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = w_values[:-1] / w_values[1:]
@@ -321,14 +316,3 @@ def absorbed_energy_lr(sigma: MeasureHistogram, pulse: FieldPulse) -> float:
     hat0 = abs(pulse.fourier(0.0)) ** 2
     hats = np.abs(pulse.fourier(sigma.centers)) ** 2
     return 2.0 * np.pi * float(sigma.atom_at_zero * hat0 + (sigma.bin_mass * hats).sum())
-
-
-def inphase_current(sigma: MeasureHistogram, pulse: FieldPulse, t_grid) -> np.ndarray:
-    """Dissipative part of the linear-response current, real by evenness."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    centers = sigma.centers
-    hats = np.asarray(pulse.fourier(centers), dtype=complex)
-    phases = np.exp(1j * np.outer(t_grid, centers))
-    out = (phases * (sigma.bin_mass * hats)[None, :]).real.sum(axis=1)
-    out += sigma.atom_at_zero * np.real(pulse.fourier(0.0))
-    return out

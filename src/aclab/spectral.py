@@ -11,6 +11,7 @@ from .lattice import LatticeSpec, build_laplacian
 
 RESIDUAL_TOL = 1e-10  # relative eigen residual / orthonormality
 MASS_TOL = 1e-12      # histogram normalization
+WEGNER_N_SIGMA = 3.0  # standard errors allowed above the Wegner bound
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,12 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(hamiltonian: np.ndarray,
-                   bounds: tuple[float, float] | None = None,
-                   validate: bool = True) -> SpectralData:
+                   bounds: tuple[float, float] | None = None) -> SpectralData:
     """Full dense eigensystem with ascending energies and a fixed sign gauge.
 
-    Raises on non-Hermitian input, on eigensolver failure, and (when validate
-    is on) on residual or orthonormality above RESIDUAL_TOL relative, or on
-    energies escaping the supplied deterministic bounds.
+    Raises on non-Hermitian input, on eigensolver failure, on residual or
+    orthonormality above RESIDUAL_TOL relative, and on energies escaping the
+    supplied deterministic bounds.
     """
     h = np.asarray(hamiltonian)
     scale = max(np.abs(h).max(), 1.0)
@@ -102,21 +102,20 @@ def eigendecompose(hamiltonian: np.ndarray,
     vectors = _fix_eigenvector_signs(vectors)
     data = SpectralData(energies=energies, vectors=vectors,
                         site_count=h.shape[0], bounds=bounds)
-    if validate:
-        residual = np.abs(h @ vectors - vectors * energies[None, :]).max()
-        if residual > RESIDUAL_TOL * scale:
-            raise RuntimeError(f"eigen residual {residual:.3e} above {RESIDUAL_TOL:.0e} * scale")
-        gram = vectors.conj().T @ vectors
-        ortho = np.abs(gram - np.eye(h.shape[0])).max()
-        if ortho > RESIDUAL_TOL:
-            raise RuntimeError(f"orthonormality defect {ortho:.3e} above {RESIDUAL_TOL:.0e}")
-        if bounds is not None:
-            slack = 1e-10 * max(1.0, abs(bounds[0]), abs(bounds[1]))
-            if energies[0] < bounds[0] - slack or energies[-1] > bounds[1] + slack:
-                raise RuntimeError(
-                    f"energies [{energies[0]:.6g}, {energies[-1]:.6g}] escape "
-                    f"bounds [{bounds[0]:.6g}, {bounds[1]:.6g}]"
-                )
+    residual = np.abs(h @ vectors - vectors * energies[None, :]).max()
+    if residual > RESIDUAL_TOL * scale:
+        raise RuntimeError(f"eigen residual {residual:.3e} above {RESIDUAL_TOL:.0e} * scale")
+    gram = vectors.conj().T @ vectors
+    ortho = np.abs(gram - np.eye(h.shape[0])).max()
+    if ortho > RESIDUAL_TOL:
+        raise RuntimeError(f"orthonormality defect {ortho:.3e} above {RESIDUAL_TOL:.0e}")
+    if bounds is not None:
+        slack = 1e-10 * max(1.0, abs(bounds[0]), abs(bounds[1]))
+        if energies[0] < bounds[0] - slack or energies[-1] > bounds[1] + slack:
+            raise RuntimeError(
+                f"energies [{energies[0]:.6g}, {energies[-1]:.6g}] escape "
+                f"bounds [{bounds[0]:.6g}, {bounds[1]:.6g}]"
+            )
     return data
 
 
@@ -159,9 +158,8 @@ def dos_histogram(batch: list[SpectralData], bin_edges: np.ndarray) -> DosHistog
                         stderr_mass=stderr, realizations=n)
 
 
-def wegner_check(dos: DosHistogram, spec: DisorderSpec,
-                 n_sigma: float = 3.0) -> WegnerReport:
-    """Check density <= rho_sup / lambda + n_sigma * stderr in every bin.
+def wegner_check(dos: DosHistogram, spec: DisorderSpec) -> WegnerReport:
+    """Check density <= rho_sup / lambda + WEGNER_N_SIGMA * stderr in every bin.
 
     The bound is on the disorder average; single realizations may exceed it.
     Vacuous at lambda = 0 (the clean kinetic spectrum is not flattened).
@@ -169,7 +167,7 @@ def wegner_check(dos: DosHistogram, spec: DisorderSpec,
     if spec.strength <= 0:
         raise ValueError("wegner_check requires lambda > 0")
     bound = spec.density_sup / spec.strength
-    allowance = bound + n_sigma * dos.density_stderr
+    allowance = bound + WEGNER_N_SIGMA * dos.density_stderr
     margins = dos.density - allowance
     worst = int(np.argmax(margins))
     return WegnerReport(

@@ -65,12 +65,6 @@ def pair_weight(e_n, e_m, p: ThermoParams, eps_deg: float):
     return out if out.ndim else float(out)
 
 
-def pair_weight_matrix(energies: np.ndarray, p: ThermoParams, eps_deg: float) -> np.ndarray:
-    """pair_weight on every ordered eigenpair; entry (n, m) weighs E_n, E_m."""
-    e = np.asarray(energies, dtype=float)
-    return pair_weight(e[:, None], e[None, :], p, eps_deg)
-
-
 def sech2(x):
     """Overflow-safe sech^2."""
     ax = np.abs(np.asarray(x, dtype=float))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import aclab.conductivity
+import aclab.verify
 from aclab.cli import main
 from aclab.config import ConfigError, from_dict, load
 from aclab.verify import run_verify
@@ -260,11 +262,41 @@ class TestVerifyCommand:
 
     def test_fault_injection_reported(self, tmp_path, capsys, monkeypatch):
         # negate every pair weight: positivity must fail and the exit reflect it
-        original = aclab.conductivity.pair_weight_matrix
-        monkeypatch.setattr(aclab.conductivity, "pair_weight_matrix",
+        original = aclab.conductivity.pair_weight
+        monkeypatch.setattr(aclab.conductivity, "pair_weight",
                             lambda *args: -original(*args))
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})
         code = main(["verify", "--config", str(path)])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
         assert any("positivity" in line and "FAIL" in line for line in lines)
+
+    @staticmethod
+    def _status(tmp_path, name):
+        path, _ = small_config(tmp_path, ensemble={"realizations": 4})
+        return next(c for c in run_verify(load(path)).checks if c.name == name).status
+
+    def test_decomposition_catches_a_dropped_bin(self, tmp_path, monkeypatch):
+        original = aclab.conductivity._mirror_bin
+
+        def drop_largest(*args):
+            mass = original(*args)
+            mass[np.argmax(mass)] = 0.0
+            return mass
+
+        monkeypatch.setattr(aclab.conductivity, "_mirror_bin", drop_largest)
+        assert self._status(tmp_path, "decomposition") == "fail"
+
+    def test_evenness_catches_a_scaled_pair_table(self, tmp_path, monkeypatch):
+        # the stored nu > eps_deg pairs no longer match their dense partners
+        original = aclab.verify.realization_pair_spectrum
+
+        def scaled(*args):
+            record = original(*args)
+            pairs = dataclasses.replace(record.pairs,
+                                        velocity_abs2=2.0 * record.pairs.velocity_abs2)
+            return dataclasses.replace(record, pairs=pairs)
+
+        monkeypatch.setattr(aclab.verify, "realization_pair_spectrum", scaled)
+        assert self._status(tmp_path, "evenness") == "fail"
+

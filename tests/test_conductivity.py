@@ -8,15 +8,12 @@ from aclab import (
     ThermoParams,
     build_laplacian,
     build_velocity,
-    complex_conductivity,
     conductivity_measure,
     convolution_check,
     eigendecompose,
-    fermi_derivative_neg,
     frequency_bins,
     pair_spectrum,
     psi_diagonal,
-    psi_weight,
     realization_pair_spectrum,
     sandwich_check,
     spectral_bounds,
@@ -35,33 +32,88 @@ def _free_ring(length):
     return lattice, data, pair_spectrum(data, build_velocity(lattice))
 
 
+def _dense_abs2(data, velocity):
+    """|<n|v|m>|^2 on all n x n eigenpairs, the table pair_spectrum splits."""
+    return np.abs(data.vectors.conj().T @ velocity @ data.vectors) ** 2
+
+
 class TestPairSpectrum:
     def test_two_site_elements(self, two_site):
-        _, _, _, ps = two_site
-        d2 = ps.velocity_abs2
+        # energies -1 < +1: the one nu > eps_deg pair is (1, 0), mirrored at (0, 1)
+        lattice, _, data, ps = two_site
+        d2 = _dense_abs2(data, build_velocity(lattice))
+        assert ps.rows.tolist() == [1] and ps.cols.tolist() == [0]
+        assert ps.nu[0] == pytest.approx(2.0, abs=1e-14)
+        assert ps.velocity_abs2[0] == pytest.approx(1.0, abs=1e-14)
         assert d2[0, 1] == pytest.approx(1.0, abs=1e-14)
-        assert d2[1, 0] == pytest.approx(1.0, abs=1e-14)
-        assert d2[0, 0] == pytest.approx(0.0, abs=1e-28)
-        assert d2[1, 1] == pytest.approx(0.0, abs=1e-28)
+        assert ps.degenerate_rows.tolist() == [0, 1]
+        assert ps.degenerate_cols.tolist() == [0, 1]
+        assert ps.degenerate_abs2[0] == pytest.approx(0.0, abs=1e-28)
+        assert ps.degenerate_abs2[1] == pytest.approx(0.0, abs=1e-28)
 
     def test_symmetry_under_swap(self):
         lattice = LatticeSpec(1, 12)
         disorder = DisorderSpec(strength=1.0, seed=9)
-        _, ps = make_pair_spectrum(lattice, disorder)
-        assert np.allclose(ps.velocity_abs2, ps.velocity_abs2.T, atol=1e-15)
+        data, ps = make_pair_spectrum(lattice, disorder)
+        d2 = _dense_abs2(data, build_velocity(lattice))
+        assert np.allclose(d2, d2.T, atol=1e-15)
+        assert np.allclose(ps.velocity_abs2, d2[ps.cols, ps.rows], atol=1e-15)
 
     def test_free_ring_velocity_preserves_energy_blocks(self):
         # the velocity commutes with the clean Hamiltonian, so matrix elements
         # between distinct energies vanish
-        _, data, ps = _free_ring(8)
-        gaps = np.abs(data.energies[:, None] - data.energies[None, :])
-        off_block = gaps > ps.eps_deg
-        assert np.abs(ps.velocity_abs2[off_block]).max() < 1e-24
+        lattice, data, ps = _free_ring(8)
+        d2 = _dense_abs2(data, build_velocity(lattice))
+        assert ps.velocity_abs2.size > 0
+        assert np.abs(ps.velocity_abs2).max() < 1e-24
+        assert np.abs(d2[ps.cols, ps.rows]).max() < 1e-24
 
     def test_dimension_mismatch(self, two_site):
         _, _, data, _ = two_site
         with pytest.raises(ValueError, match="shape"):
             pair_spectrum(data, np.zeros((3, 3), dtype=complex))
+
+
+SMALL_SIZE = {1: 6, 2: 4, 3: 3}
+
+
+@pytest.fixture(scope="module",
+                params=[(d, size, strength, boundary)
+                        for d in (1, 2, 3) for size in (2, SMALL_SIZE[d])
+                        for strength in (0.0, 1.0) for boundary in ("periodic", "dirichlet")],
+                ids=lambda c: "d{}-L{}-lam{:g}-{}".format(*c))
+def split_table(request):
+    """A pair table with the dense |<n|v|m>|^2 it was split from."""
+    d, size, strength, boundary = request.param
+    lattice = LatticeSpec(d, size, boundary)
+    data, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=13))
+    return data, ps, _dense_abs2(data, build_velocity(lattice))
+
+
+class TestPairTableSplit:
+    def test_split_partitions_all_ordered_pairs(self, split_table):
+        _, ps, _ = split_table
+        n = ps.site_count
+        assert 2 * len(ps.nu) + len(ps.degenerate_abs2) == n * n
+        for index in (ps.rows, ps.cols, ps.degenerate_rows, ps.degenerate_cols):
+            assert index.dtype == np.int32
+        flat = ps.rows.astype(np.int64) * n + ps.cols
+        assert np.all(np.diff(flat) > 0)  # row-major order
+
+    def test_split_is_at_eps_deg(self, split_table):
+        _, ps, _ = split_table
+        e = ps.energies
+        assert np.array_equal(ps.nu, e[ps.rows] - e[ps.cols])
+        assert np.all(ps.nu > ps.eps_deg)
+        gaps = np.abs(e[ps.degenerate_rows] - e[ps.degenerate_cols])
+        assert np.all(gaps <= ps.eps_deg)
+
+    def test_stored_abs2_matches_dense_both_ways(self, split_table):
+        _, ps, d2 = split_table
+        assert np.abs(ps.velocity_abs2 - d2[ps.rows, ps.cols]).max(initial=0.0) <= 1e-14
+        assert np.abs(ps.velocity_abs2 - d2[ps.cols, ps.rows]).max(initial=0.0) <= 1e-14
+        degenerate = (ps.degenerate_rows, ps.degenerate_cols)
+        assert np.abs(ps.degenerate_abs2 - d2[degenerate]).max() <= 1e-14
 
 
 class TestTwoSiteClosedForms:
@@ -175,20 +227,13 @@ class TestHistogramInvariants:
         sigma = conductivity_measure(realization, ThermoParams(0.9, 0.4), edges)
         assert sigma.total() == sigma.atom_at_zero + sigma.bin_mass.sum()
 
-    def test_atom_matches_exact_degenerate_quadrature(self, realization):
-        p = ThermoParams(0.9, 0.4)
-        edges = frequency_bins(realization.bounds, realization.site_count)
-        sigma = conductivity_measure(realization, p, edges)
-        oracle = psi_weight(realization, lambda e: fermi_derivative_neg(e, p))
-        assert abs(sigma.atom_at_zero - oracle) <= 1e-10
-
     def test_atom_quadrature_clean_ring(self):
         # degenerate blocks make the atom nontrivial; both routes agree
         _, _, ps = _free_ring(12)
         p = ThermoParams(1.3, -0.2)
         edges = frequency_bins(ps.bounds, ps.site_count)
         sigma = conductivity_measure(ps, p, edges)
-        oracle = psi_weight(ps, lambda e: fermi_derivative_neg(e, p))
+        oracle = plane_wave_atom(12, p)
         assert abs(sigma.atom_at_zero - oracle) <= 1e-10
         assert sigma.atom_at_zero > 0.5
 
@@ -327,52 +372,6 @@ class TestConvolution:
         edges = frequency_bins(ps.bounds, ps.site_count)
         with pytest.raises(ValueError, match="T > 0"):
             convolution_check(ps, ThermoParams(0.0, 0.0), edges)
-
-
-class TestComplexConductivity:
-    def test_pure_atom_pole(self):
-        from aclab import MeasureHistogram
-
-        edges = np.array([-1.0, 0.0, 1.0])
-        hist = MeasureHistogram(bin_edges=edges, bin_mass=np.zeros(2),
-                                atom_at_zero=0.7)
-        eta = 0.05
-        out = complex_conductivity(hist, eta, np.array([0.0, 0.3]))
-        assert out[0].real == pytest.approx(0.7 / (np.pi * eta), rel=1e-12)
-        expected = -1j * 0.7 / np.pi / (0.3 - 1j * eta)
-        assert out[1] == pytest.approx(expected, rel=1e-12)
-
-    def test_real_part_even_and_positive(self, two_site):
-        _, _, _, ps = two_site
-        edges = frequency_bins(ps.bounds, ps.site_count)
-        sigma = conductivity_measure(ps, ThermoParams(1.0, 0.0), edges)
-        nu = np.linspace(-5.0, 5.0, 41)
-        out = complex_conductivity(sigma, 0.1, nu)
-        assert np.allclose(out.real, out.real[::-1], atol=1e-13)
-        assert np.all(out.real > 0)
-
-    def test_two_site_lorentzian_peaks(self, two_site):
-        _, _, _, ps = two_site
-        edges = frequency_bins(ps.bounds, ps.site_count, bins_per_side=2048)
-        sigma = conductivity_measure(ps, ThermoParams(0.0, 0.0), edges)
-        eta = 0.02
-        nu = np.linspace(-3.0, 3.0, 1201)
-        re = complex_conductivity(sigma, eta, nu).real
-        peaks = nu[np.argsort(re)[-2:]]
-        assert np.all(np.abs(np.abs(peaks) - 2.0) <= 0.01)
-        # Lorentzian of half-width eta around the mass-bearing bin centre
-        centre = sigma.centers[np.argmax(sigma.bin_mass)]
-        top = complex_conductivity(sigma, eta, np.array([-centre])).real[0]
-        assert top == pytest.approx(np.pi / 4 / (np.pi * eta), rel=2e-3)
-        half = complex_conductivity(sigma, eta, np.array([-centre + eta])).real[0]
-        assert half == pytest.approx(top / 2, rel=2e-3)
-
-    def test_rejects_nonpositive_eta(self, two_site):
-        _, _, _, ps = two_site
-        edges = frequency_bins(ps.bounds, ps.site_count)
-        sigma = conductivity_measure(ps, ThermoParams(1.0, 0.0), edges)
-        with pytest.raises(ValueError, match="eta"):
-            complex_conductivity(sigma, 0.0, np.array([0.0]))
 
 
 class TestHighTemperatureEnvelope:

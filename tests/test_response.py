@@ -6,7 +6,6 @@ from aclab import (
     DisorderSpec,
     FieldPulse,
     LatticeSpec,
-    MeasureHistogram,
     ThermoParams,
     absorbed_energy_lr,
     absorbed_energy_td,
@@ -14,9 +13,7 @@ from aclab import (
     build_laplacian,
     build_position,
     conductivity_measure,
-    fourier_transform,
     frequency_bins,
-    inphase_current,
     linear_response_extract,
     propagate_liouville,
     sample_potential,
@@ -42,7 +39,7 @@ class TestFieldPulse:
     def test_conjugate_symmetry_exact(self):
         pulse = FieldPulse(amplitude=0.7, width=3.0, carrier=1.3)
         nu = np.linspace(-6, 6, 25)
-        hat = fourier_transform(pulse, nu)
+        hat = pulse.fourier(nu)
         assert np.array_equal(hat, hat[::-1].conj())
         assert np.all(hat.imag == 0.0)
 
@@ -255,27 +252,3 @@ class TestMeasureRouteEnergy:
         for carrier in (0.0, 1.0, 3.0):
             assert absorbed_energy_lr(sigma, FieldPulse(1.0, 3.0, carrier)) >= 0.0
 
-
-class TestInphaseCurrent:
-    def test_zero_measure_zero_current(self):
-        hist = MeasureHistogram(bin_edges=np.array([-1.0, 0.0, 1.0]),
-                                bin_mass=np.zeros(2), atom_at_zero=0.0)
-        pulse = FieldPulse(1.0, 2.0, carrier=0.5)
-        assert np.all(inphase_current(hist, pulse, np.linspace(-3, 3, 7)) == 0.0)
-
-    def test_pure_atom_gives_constant(self):
-        hist = MeasureHistogram(bin_edges=np.array([-1.0, 0.0, 1.0]),
-                                bin_mass=np.zeros(2), atom_at_zero=0.4)
-        pulse = FieldPulse(1.0, 2.0, carrier=0.0)
-        current = inphase_current(hist, pulse, np.linspace(-3, 3, 7))
-        assert np.allclose(current, 0.4 * pulse.fourier(0.0), rtol=1e-14)
-
-    def test_parseval_consistency(self, two_site):
-        # long-window quadrature of E J_in approaches the measure-route energy
-        _, _, _, ps = two_site
-        pulse = FieldPulse(1.0, 3.0, carrier=2.0)
-        edges = frequency_bins(ps.bounds, ps.site_count)
-        sigma = conductivity_measure(ps, ThermoParams(1.0, 0.0), edges)
-        t = np.linspace(-60, 60, 24001)
-        overlap = np.trapezoid(pulse.field(t) * inphase_current(sigma, pulse, t), t)
-        assert overlap == pytest.approx(absorbed_energy_lr(sigma, pulse), rel=1e-6)
