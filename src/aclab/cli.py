@@ -1,9 +1,10 @@
 """Command-line surface: sigma, verify, sweep, absorb.
 
 Every command is a pure function of its JSON config (plus the --seed /
---out / --threads overrides), writes write-once artifacts into the output
-directory, and exits nonzero with a machine-readable JSON error on any
-validation or invariant failure.
+--out overrides), runs its realizations serially, writes write-once artifacts
+into the output directory, and exits nonzero with a machine-readable JSON
+error on any validation or invariant failure.  --threads is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def cmd_sigma(config: RunConfig, threads: int) -> int:
+def cmd_sigma(config: RunConfig) -> int:
     result = ensemble_average(config.disorder, config.lattice, config.thermo,
-                              bin_edges=_bin_edges(config),
-                              n=config.realizations, threads=threads)
+                              bin_edges=_bin_edges(config), n=config.realizations)
     out = Path(config.output_dir)
     io.write_measure_csv(out / "sigma.csv", result.bin_edges,
                          result.sigma_mean, result.sigma_stderr)
@@ -85,7 +85,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_sweep(config: RunConfig, axis: str, threads: int) -> int:
+def cmd_sweep(config: RunConfig, axis: str) -> int:
     out = Path(config.output_dir)
     if axis == "temperature":
         if not config.temperature_grid:
@@ -93,15 +93,14 @@ def cmd_sweep(config: RunConfig, axis: str, threads: int) -> int:
                          field="sweeps.temperature")
         table = temperature_sweep(config.disorder, config.lattice,
                                   config.thermo.fermi_level,
-                                  config.temperature_grid,
-                                  n=config.realizations, threads=threads)
+                                  config.temperature_grid, n=config.realizations)
     else:
         if not config.disorder_grid:
             return _fail("config has no sweeps.disorder grid",
                          field="sweeps.disorder")
         table = disorder_sweep(config.lattice, config.thermo,
                                config.disorder_grid, config.disorder,
-                               n=config.realizations, threads=threads)
+                               n=config.realizations)
     io.write_sweep_csv(out / f"sweep_{axis}.csv", table)
     io.write_json(out / f"sweep_{axis}.json", io.measure_header(
         config.to_dict(), f"sweep_{axis}", meta=table.meta,
@@ -184,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, required=True)
         cmd.add_argument("--out", type=Path, default=None,
                          help="override output.directory")
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument("--threads", type=int, default=1,
+                         help="no effect; every command runs serially")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override disorder.seed")
         if name == "sweep":
@@ -198,11 +198,11 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         if args.command == "sigma":
-            return cmd_sigma(config, args.threads)
+            return cmd_sigma(config)
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "sweep":
-            return cmd_sweep(config, args.axis, args.threads)
+            return cmd_sweep(config, args.axis)
         if args.command == "absorb":
             return cmd_absorb(config)
         return _fail(f"unknown command {args.command!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import LatticeSpec, PERIODIC
 from .spectral import SpectralData, energy_bins
-from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
+from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg
 
 DEGENERACY_SCALE = 1e-10
 EVEN_TOL = 1e-12           # negative bins against their mirror, relative to the largest bin
@@ -161,9 +161,9 @@ def pair_spectrum(data: SpectralData, velocity: np.ndarray) -> PairSpectrum:
 
 
 def _pair_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
-    """(pi / site_count) |v|^2 w(E_n, E_m) of the nu > eps_deg pairs, in table order."""
-    e = ps.energies
-    weights = pair_weight(e[ps.rows], e[ps.cols], p, ps.eps_deg)
+    """(pi / site_count) |v|^2 (f(E_m) - f(E_n)) / nu of the nu > eps_deg pairs, in table order."""
+    f = fermi(ps.energies, p)
+    weights = (f[ps.cols] - f[ps.rows]) / ps.nu
     return (np.pi / ps.site_count) * ps.velocity_abs2 * weights
 
 
@@ -173,10 +173,12 @@ def _degenerate_mass(ps: PairSpectrum, values: np.ndarray) -> float:
 
 
 def _tangent_atom(ps: PairSpectrum, p: ThermoParams) -> float:
-    """Degenerate pairs weighted by pair_weight: (-f)'(midpoint) at T > 0, 0 at T = 0."""
+    """Degenerate pairs at pair_weight's tangent: (-f)'(midpoint) at T > 0, 0 at T = 0."""
+    if p.temperature == 0.0:
+        return 0.0
     e = ps.energies
-    return _degenerate_mass(ps, pair_weight(e[ps.degenerate_rows], e[ps.degenerate_cols],
-                                            p, ps.eps_deg))
+    midpoints = 0.5 * (e[ps.degenerate_rows] + e[ps.degenerate_cols])
+    return _degenerate_mass(ps, fermi_derivative_neg(midpoints, p))
 
 
 def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> float:
@@ -342,6 +344,12 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
         gap_stderr_combined=float(np.hypot(se_l, se_r)),
         realizations=n,
     )
+
+
+def high_t_ceiling(temperature: float, upsilon_total, psi_total):
+    """Largest Sigma(R) allowed at T: (pi / 4T)(Upsilon + Psi) plus a 1e-12 relative slack."""
+    envelope = np.pi / (4.0 * temperature) * (upsilon_total + psi_total)
+    return envelope + 1e-12 * np.maximum(envelope, 1.0)
 
 
 @dataclass(frozen=True)

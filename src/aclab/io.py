@@ -52,10 +52,8 @@ def measure_header(config_dict: dict, kind: str, **extra) -> dict:
 
 
 def write_measure_csv(path, bin_edges: np.ndarray, mass: np.ndarray,
-                      stderr: np.ndarray | None = None):
+                      stderr: np.ndarray):
     """Columns: bin_left, bin_right, mass, stderr."""
-    if stderr is None:
-        stderr = np.zeros_like(mass)
     rows = [
         (fmt(bin_edges[i]), fmt(bin_edges[i + 1]), fmt(mass[i]), fmt(stderr[i]))
         for i in range(len(mass))

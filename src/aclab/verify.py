@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conductivity as cond
+from . import conductivity as cond, ensemble
 from .config import RunConfig
 from .disorder import spectral_bounds
 from .ensemble import Realization, realization_pair_spectrum
@@ -69,7 +69,7 @@ def _skip(name, why) -> CheckResult:
 
 
 class _Context:
-    """Shared realizations so the battery diagonalizes each one once."""
+    """The config's realizations, built once; each check reads a prefix of them."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -83,21 +83,16 @@ class _Context:
             nu_max=config.bins.nu_max)
         self.laplacian = build_laplacian(self.lattice)
         self.velocity = build_velocity(self.lattice)
-        self._records = []
+        self.records = ensemble._map_indices(
+            lambda i: realization_pair_spectrum(self.lattice, self.disorder.with_index(i),
+                                                self.laplacian, self.velocity),
+            config.realizations, 1)
+        self.spectra = [r.pairs for r in self.records]
         self._sigmas = []
-
-    def realizations(self, n: int) -> list:
-        for i in range(len(self._records), n):
-            self._records.append(realization_pair_spectrum(
-                self.lattice, self.disorder.with_index(i), self.laplacian, self.velocity))
-        return self._records[:n]
-
-    def pair_spectra(self, n: int) -> list:
-        return [r.pairs for r in self.realizations(n)]
 
     def sigmas(self, n: int) -> list:
         """Conductivity measures at the config's thermo and bins, one per realization."""
-        for ps in self.pair_spectra(n)[len(self._sigmas):]:
+        for ps in self.spectra[len(self._sigmas):n]:
             self._sigmas.append(cond.conductivity_measure(ps, self.thermo, self.bin_edges))
         return self._sigmas[:n]
 
@@ -127,7 +122,7 @@ def check_velocity_position(ctx: _Context) -> CheckResult:
     name = "velocity_position"
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "position operator needs dirichlet boundary")
-    data = ctx.realizations(1)[0].spectral
+    data = ctx.records[0].spectral
     x1 = build_position(ctx.lattice)
     d_eig = data.vectors.conj().T @ ctx.velocity @ data.vectors
     x_eig = data.vectors.conj().T @ x1 @ data.vectors
@@ -145,7 +140,7 @@ def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
     # |nu|, so one on a bin edge lands in the mirror image of its partner's bin.
     half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
     worst = 0.0
-    for record, sigma in zip(ctx.realizations(n), ctx.sigmas(n)):
+    for record, sigma in zip(ctx.records[:n], ctx.sigmas(n)):
         data, ps = record.spectral, record.pairs
         e = data.energies
         abs2 = np.abs(data.vectors.conj().T @ ctx.velocity @ data.vectors) ** 2
@@ -173,9 +168,8 @@ def check_support(ctx: _Context, n: int = 8) -> CheckResult:
     diameter = ctx.bounds[1] - ctx.bounds[0]
     wide = cond.frequency_bins(ctx.bounds, ctx.lattice.site_count,
                                nu_max=1.25 * diameter)
-    spectra = ctx.pair_spectra(n)
     worst = 0.0
-    for ps in spectra:
+    for ps in ctx.spectra[:n]:
         hist = cond.conductivity_measure(ps, ctx.thermo, wide)
         worst = max(worst, hist.mass_outside(diameter))
     return _result("support", worst == 0.0, 0.0 - worst,
@@ -184,7 +178,7 @@ def check_support(ctx: _Context, n: int = 8) -> CheckResult:
 
 def check_decomposition(ctx: _Context, n: int = 8) -> CheckResult:
     worst = 0.0
-    for ps, sigma in zip(ctx.pair_spectra(n), ctx.sigmas(n)):
+    for ps, sigma in zip(ctx.spectra[:n], ctx.sigmas(n)):
         exact = cond.gamma_mass(ps, ctx.thermo)
         worst = max(worst, abs(sigma.binned_total() - exact) / max(exact, 1e-300))
     tol = cond.DECOMPOSITION_TOL
@@ -196,9 +190,8 @@ def check_convolution(ctx: _Context, n: int = 3) -> CheckResult:
     name = "convolution"
     if ctx.thermo.temperature <= 0:
         return _skip(name, "identity needs T > 0")
-    spectra = ctx.pair_spectra(n)
     worst = 0.0
-    for ps in spectra:
+    for ps in ctx.spectra[:n]:
         report = cond.convolution_check(ps, ctx.thermo, ctx.bin_edges)
         worst = max(worst, report.max_rel_gap)
     tol = cond.CONVOLUTION_TOL
@@ -211,13 +204,12 @@ def check_sandwich(ctx: _Context, n: int = 32) -> CheckResult:
     base_t = ctx.thermo.temperature
     if base_t <= 0:
         return _skip(name, "bounds need T > 0")
-    spectra = ctx.pair_spectra(n)
     mu0 = ctx.thermo.fermi_level
     grid = [(t, mu) for t in (0.5 * base_t, base_t, 2.0 * base_t)
             for mu in (mu0 - 1.0, mu0, mu0 + 1.0)]
     violations = 0
     worst = np.inf
-    for ps in spectra:
+    for ps in ctx.spectra[:n]:
         upsilon = cond.upsilon_measure(ps, ctx.bin_edges)
         for t_value, mu in grid:
             p = ThermoParams(temperature=t_value, fermi_level=mu)
@@ -231,18 +223,17 @@ def check_sandwich(ctx: _Context, n: int = 32) -> CheckResult:
 
 
 def check_high_t_bound(ctx: _Context, n: int = 32) -> CheckResult:
-    spectra = ctx.pair_spectra(n)
     t_grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
     worst = np.inf
     ok = True
-    for ps in spectra:
+    for ps in ctx.spectra[:n]:
         upsilon_total = cond.upsilon_measure(ps, ctx.bin_edges).total()
         psi_total = cond.psi_diagonal(ps).total()
         for t_value in t_grid:
             p = ThermoParams(temperature=t_value, fermi_level=ctx.thermo.fermi_level)
             sigma_total = cond.conductivity_measure(ps, p, ctx.bin_edges).total()
-            envelope = np.pi / (4.0 * t_value) * (upsilon_total + psi_total)
-            slack = envelope + 1e-12 * max(envelope, 1.0) - sigma_total
+            slack = float(cond.high_t_ceiling(t_value, upsilon_total, psi_total)
+                          - sigma_total)
             worst = min(worst, slack)
             ok = ok and slack >= 0
     return _result("high_t_bound", ok, worst,
@@ -256,7 +247,7 @@ def check_sum_rule(ctx: _Context, n: int) -> CheckResult:
         return _skip(name, "covariance argument needs periodic boundary")
     if n < 2:
         return _skip(name, "needs at least 2 realizations for a stderr")
-    report = cond.sum_rule_mass(ctx.realizations(n), ctx.lattice, ctx.thermo)
+    report = cond.sum_rule_mass(ctx.records[:n], ctx.lattice, ctx.thermo)
     allowance = 3.0 * report.gap_stderr_combined + 1e-12 * abs(report.lhs_mean)
     ok = abs(report.gap_mean) <= allowance
     return _result(name, ok, allowance - abs(report.gap_mean),
@@ -270,7 +261,7 @@ def check_wegner(ctx: _Context, n: int) -> CheckResult:
         return _skip(name, "bound is vacuous at lambda = 0")
     edges = energy_bins(ctx.bounds, ctx.lattice.site_count,
                         n_bins=ctx.config.bins.dos_bins)
-    dos = dos_histogram([r.spectral for r in ctx.realizations(n)], edges)
+    dos = dos_histogram([r.spectral for r in ctx.records[:n]], edges)
     report = wegner_check(dos, ctx.disorder)
     return _result(name, report.passed, -report.worst_margin,
                    f"worst bin density excess {report.worst_margin:+.3e} "
@@ -283,7 +274,7 @@ def check_energy_routes(ctx: _Context) -> CheckResult:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
-    potential = ctx.realizations(1)[0].potential
+    potential = ctx.records[0].potential
     h = build_hamiltonian(ctx.lattice, potential, laplacian=ctx.laplacian)
     x1 = build_position(ctx.lattice)
     dt = ctx.config.dynamics.route_check_dt or 2.5e-4
@@ -302,8 +293,7 @@ def check_oracle_energy(ctx: _Context) -> CheckResult:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
-    extraction, w_lr = absorption_oracle(ctx.config, ctx.realizations(1)[0],
-                                         ctx.laplacian)
+    extraction, w_lr = absorption_oracle(ctx.config, ctx.records[0], ctx.laplacian)
     rel = abs(extraction.w_lin - w_lr) / max(w_lr, 1e-300)
     ratio = extraction.ratio_smallest_pair()
     ok = rel <= 0.05 and 3.8 <= ratio <= 4.2

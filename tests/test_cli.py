@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import aclab.conductivity
+import aclab.ensemble
 import aclab.verify
 from aclab.cli import main
 from aclab.config import ConfigError, from_dict, load
@@ -23,6 +24,20 @@ def eigh_calls(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """The realization count of each call to ensemble._map_indices while the test runs."""
+    calls = []
+    original = aclab.ensemble._map_indices
+
+    def counted(worker, n, threads):
+        calls.append(n)
+        return original(worker, n, threads)
+
+    monkeypatch.setattr(aclab.ensemble, "_map_indices", counted)
     return calls
 
 
@@ -262,8 +277,8 @@ class TestVerifyCommand:
 
     def test_fault_injection_reported(self, tmp_path, capsys, monkeypatch):
         # negate every pair weight: positivity must fail and the exit reflect it
-        original = aclab.conductivity.pair_weight
-        monkeypatch.setattr(aclab.conductivity, "pair_weight",
+        original = aclab.conductivity._pair_mass
+        monkeypatch.setattr(aclab.conductivity, "_pair_mass",
                             lambda *args: -original(*args))
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})
         code = main(["verify", "--config", str(path)])
@@ -300,3 +315,36 @@ class TestVerifyCommand:
         monkeypatch.setattr(aclab.verify, "realization_pair_spectrum", scaled)
         assert self._status(tmp_path, "evenness") == "fail"
 
+
+SWEEPS = {"temperature": [0.5, 1.0, 2.0], "disorder": [0.1, 0.2, 0.4]}
+
+
+class TestSingleRealizationLoop:
+    @pytest.mark.parametrize("command, loops", [
+        (["sigma"], [8]),
+        (["sweep", "--axis", "temperature"], [8]),
+        (["sweep", "--axis", "disorder"], [8, 8, 8]),
+        (["verify"], [8]),
+    ])
+    def test_one_loop_per_ensemble(self, tmp_path, map_calls, command, loops):
+        path, _ = small_config(tmp_path, sweeps=SWEEPS)
+        assert main([command[0], "--config", str(path), *command[1:]]) == 0
+        assert map_calls == loops
+
+    @pytest.mark.parametrize("command", [
+        ["sigma"], ["sweep", "--axis", "temperature"], ["sweep", "--axis", "disorder"],
+        ["verify"]])
+    def test_threads_flag_changes_no_byte(self, tmp_path, monkeypatch, command):
+        path, _ = small_config(tmp_path, sweeps=SWEEPS)
+        written = {}
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            # the same relative --out, so the embedded output directory matches too
+            monkeypatch.chdir(run_dir)
+            assert main([command[0], "--config", str(path), "--out", "out",
+                         "--threads", threads, *command[1:]]) == 0
+            written[threads] = {f.name: f.read_bytes()
+                                for f in (run_dir / "out").iterdir()}
+        assert written["1"]
+        assert written["1"] == written["2"]

