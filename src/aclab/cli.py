@@ -23,7 +23,7 @@ from .config import ConfigError, RunConfig
 from .disorder import spectral_bounds
 from .ensemble import disorder_sweep, ensemble_average, realization_pair_spectrum, \
     temperature_sweep
-from .lattice import DIRICHLET, build_laplacian, build_velocity
+from .lattice import DIRICHLET
 from .response import absorbed_energy_td
 # Unused here; perfbench's tracer test checks that tracing patches this binding.
 from .spectral import eigendecompose  # noqa: F401
@@ -130,11 +130,8 @@ def cmd_absorb(config: RunConfig) -> int:
     if config.lattice.boundary != DIRICHLET:
         return _fail("time-domain absorption requires dirichlet boundary",
                      field="lattice.boundary")
-    lattice = config.lattice
-    laplacian = build_laplacian(lattice)
-    realization = realization_pair_spectrum(lattice, config.disorder.with_index(0),
-                                            laplacian, build_velocity(lattice))
-    extraction, w_lr = absorption_oracle(config, realization, laplacian)
+    realization = realization_pair_spectrum(config.lattice, config.disorder.with_index(0))
+    extraction, w_lr = absorption_oracle(config, realization)
     trace = extraction.traces[0]  # the largest alpha of the ladder
     routes = absorbed_energy_td(trace)
 

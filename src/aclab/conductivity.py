@@ -1,8 +1,10 @@
 """Velocity pair spectra and the finite-volume frequency measures built from them.
 
 Per realization, the dissipative response is encoded by the eigenpair table
-(nu_nm = E_n - E_m, |<n|v|m>|^2).  pair_spectrum splits that table once, at
-the degeneracy threshold eps_deg, and every measure reads the split:
+(nu_nm = E_n - E_m, |<n|v|m>|^2).  pair_spectrum forms |<n|v|m>|^2 as
+|(Q^H hop)_nm|^2 with hop = Q[x + e1] - Q[x - e1], from the eigenvectors and
+the lattice's neighbour shift (no velocity matrix), splits that table once,
+at the degeneracy threshold eps_deg, and every measure reads the split:
 
 - the pairs with nu > eps_deg as flat arrays in row-major (n, m) order:
   rows and cols (int32), nu and velocity_abs2.  Their partners (m, n) at -nu
@@ -88,12 +90,6 @@ class MeasureHistogram:
         if n % 2 or self.bin_edges[n // 2] != 0.0:
             raise ValueError("histogram is not a symmetric frequency grid")
 
-    def evenness_defect(self) -> float:
-        """Max |mass(B) - mass(-B)| relative to the largest bin mass."""
-        self._check_symmetric()
-        scale = max(self.bin_mass.max(initial=0.0), 1e-300)
-        return float(np.abs(self.bin_mass - self.bin_mass[::-1]).max() / scale)
-
     def mass_outside(self, diameter: float) -> float:
         """Total mass in bins lying entirely outside [-diameter, diameter]."""
         self._check_symmetric()
@@ -126,20 +122,28 @@ def frequency_bins(bounds: tuple[float, float], site_count: int,
     return np.concatenate([-half[:0:-1], half])
 
 
-def pair_spectrum(data: SpectralData, velocity: np.ndarray) -> PairSpectrum:
+def _shifted_rows(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Row target[x] of vectors for every site x; an out-of-box target (-1) reads zeros."""
+    rows = vectors[target]
+    rows[target < 0] = 0.0
+    return rows
+
+
+def pair_spectrum(data: SpectralData, lattice: LatticeSpec) -> PairSpectrum:
     """Tabulate |<n|v|m>|^2 for all eigenpairs of one realization, split at eps_deg.
 
-    The measures read this split; none of them compares a pair frequency with
-    eps_deg again.
+    (v phi)(x) = -i (phi(x + e1) - phi(x - e1)), so <n|v|m> = -i (Q^H hop)_nm.
+    The measures read the split; none compares a pair frequency with eps_deg again.
     """
-    if velocity.shape != data.vectors.shape:
-        raise ValueError(
-            f"velocity shape {velocity.shape} does not match eigenbasis "
-            f"{data.vectors.shape}"
-        )
+    q = data.vectors
+    if q.shape != (lattice.site_count, lattice.site_count):
+        raise ValueError(f"eigenbasis shape {q.shape} does not match the "
+                         f"lattice's {lattice.site_count} sites")
     bounds = data.bounds or (float(data.energies[0]), float(data.energies[-1]))
     eps = degeneracy_threshold(bounds)
-    abs2 = np.abs(data.vectors.conj().T @ velocity @ data.vectors) ** 2
+    hop = _shifted_rows(q, lattice.neighbor_shift(0, +1))
+    hop -= _shifted_rows(q, lattice.neighbor_shift(0, -1))
+    abs2 = np.abs(q.conj().T @ hop) ** 2
     e = data.energies
     nu = e[:, None] - e[None, :]
     positive = nu > eps
@@ -359,8 +363,8 @@ class SandwichReport:
     convention: int
     c_value: float
     tolerance: float
-    worst_lower: float
-    worst_upper: float
+    worst_lower: float  # smallest slack of each bound over the bins with Upsilon > 0,
+    worst_upper: float  # as a fraction of the envelope (pi/4T) Upsilon
     violations: int
     passed: bool
 
@@ -383,11 +387,14 @@ def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
     c_value = c_mu_t(p, bounds, convention)
     tol = 1e-10 * prefactor * upsilon.total()
     gamma = sigma.bin_mass
+    envelope = prefactor * upsilon.bin_mass
     lower = prefactor * c_value * upsilon.bin_mass - tol
-    upper = prefactor * upsilon.bin_mass + tol
-    worst_lower = float((gamma - lower).min())
-    worst_upper = float((upper - gamma).min())
+    upper = envelope + tol
     violations = int(np.sum(gamma < lower) + np.sum(gamma > upper))
+    held = envelope > 0.0
+    ratio = gamma[held] / envelope[held]
+    worst_lower = float((ratio - c_value).min(initial=np.inf))
+    worst_upper = float((1.0 - ratio).min(initial=np.inf))
     return SandwichReport(
         convention=convention,
         c_value=float(c_value),

@@ -24,7 +24,7 @@ from .conductivity import (
     upsilon_measure,
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
-from .lattice import LatticeSpec, build_laplacian, build_velocity
+from .lattice import LatticeSpec
 from .spectral import SpectralData, build_hamiltonian, eigendecompose
 from .thermo import ThermoParams
 
@@ -84,18 +84,17 @@ class SweepTable:
         return np.array([row[key] for row in self.rows])
 
 
-def realization_pair_spectrum(lattice: LatticeSpec, spec: DisorderSpec,
-                              laplacian: np.ndarray, velocity: np.ndarray) -> Realization:
+def realization_pair_spectrum(lattice: LatticeSpec, spec: DisorderSpec) -> Realization:
     """Sample one potential, diagonalize, and tabulate the velocity pairs.
 
     The one path from a disorder spec to an eigensystem: every command reads
     what it needs of a realization from the returned record.
     """
     potential = sample_potential(spec, lattice)
-    h = build_hamiltonian(lattice, potential, laplacian=laplacian)
-    data = eigendecompose(h, bounds=spectral_bounds(spec, lattice))
+    data = eigendecompose(build_hamiltonian(lattice, potential),
+                          bounds=spectral_bounds(spec, lattice))
     return Realization(potential=potential, spectral=data,
-                       pairs=pair_spectrum(data, velocity))
+                       pairs=pair_spectrum(data, lattice))
 
 
 def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray) -> RealizationMeasures:
@@ -120,19 +119,14 @@ def _map_indices(worker, n: int, threads: int) -> list:
     return [worker(i) for i in range(n)]
 
 
-def _pair_spectra(lattice: LatticeSpec, spec: DisorderSpec, operators: tuple,
-                  n: int, summarize) -> list:
+def _pair_spectra(lattice: LatticeSpec, spec: DisorderSpec, n: int, summarize) -> list:
     """summarize(pair spectrum) of the realizations 0..n-1 of spec.
 
     Only the pair table leaves the pipeline record, so the eigenvectors are
     released before any binning.
     """
-    laplacian, velocity = operators
-
     def worker(i: int):
-        ps = realization_pair_spectrum(lattice, spec.with_index(i), laplacian,
-                                       velocity).pairs
-        return summarize(ps)
+        return summarize(realization_pair_spectrum(lattice, spec.with_index(i)).pairs)
 
     return _map_indices(worker, n, 1)
 
@@ -161,8 +155,7 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
     bounds = spectral_bounds(spec, lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(bounds, lattice.site_count)
-    operators = (build_laplacian(lattice), build_velocity(lattice))
-    results = _pair_spectra(lattice, spec, operators, n,
+    results = _pair_spectra(lattice, spec, n,
                             lambda ps: _measures_for(ps, p, bin_edges))
     sigma_stack = np.array([r.sigma.bin_mass for r in results])
     atom_stack = np.array([r.sigma.atom_at_zero for r in results])
@@ -197,8 +190,7 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
     bounds = spectral_bounds(spec, lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(bounds, lattice.site_count)
-    operators = (build_laplacian(lattice), build_velocity(lattice))
-    spectra = _pair_spectra(lattice, spec, operators, n, lambda ps: ps)
+    spectra = _pair_spectra(lattice, spec, n, lambda ps: ps)
 
     upsilon_tot = np.array([upsilon_measure(ps, bin_edges).total() for ps in spectra])
     psi_tot = np.array([psi_diagonal(ps).total() for ps in spectra])
@@ -251,14 +243,12 @@ def disorder_sweep(lattice: LatticeSpec, p: ThermoParams, lambda_grid,
     top_bounds = spectral_bounds(base_spec.with_strength(float(lambda_grid[-1])), lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(top_bounds, lattice.site_count)
-    operators = (build_laplacian(lattice), build_velocity(lattice))
 
     table = SweepTable(axis="disorder", grid=lambda_grid,
                        meta={"realizations": n, "temperature": p.temperature,
                              "fermi_level": p.fermi_level})
     for strength in lambda_grid:
-        results = _pair_spectra(lattice, base_spec.with_strength(float(strength)),
-                                operators, n,
+        results = _pair_spectra(lattice, base_spec.with_strength(float(strength)), n,
                                 lambda ps: _measures_for(ps, p, bin_edges))
         row = {"strength": float(strength)}
         for key, (mean, stderr) in _scalar_summary(results).items():

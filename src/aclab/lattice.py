@@ -17,6 +17,7 @@ velocity 2 sin(k_1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,9 @@ class LatticeSpec:
         idx = np.arange(self.site_count)
         return np.stack(np.unravel_index(idx, self.shape), axis=1)
 
+    @functools.cache
     def neighbor_shift(self, axis: int, step: int) -> np.ndarray:
-        """Flat index of x + step*e_axis for every site x.
+        """Flat index of x + step*e_axis for every site x, read-only and memoized.
 
         Periodic boundaries wrap modulo L; dirichlet marks out-of-box targets
         with -1.
@@ -66,10 +68,10 @@ class LatticeSpec:
         coords[:, axis] += step
         if self.boundary == PERIODIC:
             coords[:, axis] %= self.linear_size
-            return np.ravel_multi_index(tuple(coords.T), self.shape)
         inside = (coords[:, axis] >= 0) & (coords[:, axis] < self.linear_size)
         out = np.full(self.site_count, -1, dtype=np.intp)
         out[inside] = np.ravel_multi_index(tuple(coords[inside].T), self.shape)
+        out.setflags(write=False)
         return out
 
 

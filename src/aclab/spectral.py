@@ -58,15 +58,14 @@ class WegnerReport:
     allowance: np.ndarray = field(repr=False, default=None)
 
 
-def build_hamiltonian(lattice: LatticeSpec, potential: np.ndarray,
-                      laplacian: np.ndarray | None = None) -> np.ndarray:
-    """H = kinetic + diag(potential); pass a prebuilt kinetic matrix to amortize."""
+def build_hamiltonian(lattice: LatticeSpec, potential: np.ndarray) -> np.ndarray:
+    """H = kinetic + diag(potential)."""
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (lattice.site_count,):
         raise ValueError(
             f"potential has shape {potential.shape}, expected ({lattice.site_count},)"
         )
-    h = build_laplacian(lattice) if laplacian is None else laplacian.copy()
+    h = build_laplacian(lattice)
     h[np.diag_indices_from(h)] += potential
     return h
 

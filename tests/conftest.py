@@ -6,7 +6,6 @@ from aclab import (
     LatticeSpec,
     build_hamiltonian,
     build_laplacian,
-    build_velocity,
     eigendecompose,
     pair_spectrum,
     sample_potential,
@@ -23,17 +22,16 @@ def two_site():
     disorder = DisorderSpec(strength=0.0, seed=MASTER_SEED)
     h = build_laplacian(lattice)
     data = eigendecompose(h, bounds=spectral_bounds(disorder, lattice))
-    ps = pair_spectrum(data, build_velocity(lattice))
+    ps = pair_spectrum(data, lattice)
     return lattice, disorder, data, ps
 
 
 def make_pair_spectrum(lattice, disorder, index=0):
     """One seeded realization, diagonalized, with its velocity pair table."""
     spec = disorder.with_index(index)
-    h = build_hamiltonian(lattice, sample_potential(spec, lattice),
-                          laplacian=build_laplacian(lattice))
+    h = build_hamiltonian(lattice, sample_potential(spec, lattice))
     data = eigendecompose(h, bounds=spectral_bounds(spec, lattice))
-    return data, pair_spectrum(data, build_velocity(lattice))
+    return data, pair_spectrum(data, lattice)
 
 
 def plane_wave_atom(length, p):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +303,27 @@ class TestVerifyCommand:
         monkeypatch.setattr(aclab.conductivity, "_mirror_bin", drop_largest)
         assert self._status(tmp_path, "decomposition") == "fail"
 
+    def test_margins_read_bins_that_hold_pairs(self, tmp_path):
+        path, _ = small_config(tmp_path, ensemble={"realizations": 4})
+        checks = {c.name: c for c in run_verify(load(path)).checks}
+        assert checks["positivity"].status == "pass"
+        assert checks["positivity"].margin > 0.0
+        assert checks["sandwich"].status == "pass"
+        # a fraction of the envelope, far above the 1e-10 relative tolerance
+        assert 1e-6 < checks["sandwich"].margin < 1.0
+
+    def test_positivity_catches_mass_in_an_empty_bin(self, tmp_path, monkeypatch):
+        # the outermost bin lies beyond every pair frequency of this config
+        original = aclab.conductivity._mirror_bin
+
+        def fill_outermost(*args):
+            mass = original(*args)
+            mass[0] += 1e-30
+            return mass
+
+        monkeypatch.setattr(aclab.conductivity, "_mirror_bin", fill_outermost)
+        assert self._status(tmp_path, "positivity") == "fail"
+
     def test_evenness_catches_a_scaled_pair_table(self, tmp_path, monkeypatch):
         # the stored nu > eps_deg pairs no longer match their dense partners
         original = aclab.verify.realization_pair_spectrum
@@ -317,6 +339,24 @@ class TestVerifyCommand:
 
 
 SWEEPS = {"temperature": [0.5, 1.0, 2.0], "disorder": [0.1, 0.2, 0.4]}
+
+
+@pytest.mark.parametrize("command", [
+    ["sigma"], ["sweep", "--axis", "temperature"], ["sweep", "--axis", "disorder"],
+    ["absorb"]])
+def test_pipeline_builds_no_dense_velocity(tmp_path, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("a dense velocity matrix was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "aclab" and hasattr(module, "build_velocity"):
+            monkeypatch.setattr(module, "build_velocity", refuse)
+    path, _ = small_config(
+        tmp_path, sweeps=SWEEPS,
+        lattice={"dimension": 1, "linear_size": 4, "boundary": "dirichlet"},
+        pulse={"amplitude": 1.0, "width": 2.0, "carrier": 2.0},
+        dynamics={"alphas": [0.2, 0.1, 0.05, 0.025], "dt": 0.05})
+    assert main([command[0], "--config", str(path), *command[1:]]) == 0
 
 
 class TestSingleRealizationLoop:

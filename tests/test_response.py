@@ -124,7 +124,7 @@ class TestStackedLadder:
     def open_six(self):
         lattice = LatticeSpec(1, 6, "dirichlet")
         potential = sample_potential(DisorderSpec(strength=1.0, seed=7), lattice)
-        h = build_hamiltonian(lattice, potential, laplacian=build_laplacian(lattice))
+        h = build_hamiltonian(lattice, potential)
         return h, build_position(lattice)
 
     # 2 t_max / dt = 20.5 -> 21 steps (one partial block); 74.5 -> 75 steps
