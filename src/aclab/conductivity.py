@@ -194,6 +194,25 @@ def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> float:
     return 2.0 * float(_pair_mass(ps, p).sum())
 
 
+def _bin_sum(values: np.ndarray, weights: np.ndarray,
+             bin_edges: np.ndarray) -> np.ndarray:
+    """np.histogram(values, bin_edges, weights=weights)[0] by one searchsorted and one bincount.
+
+    Same bins: half-open [e_i, e_i+1) with the last one closed, and values
+    outside [e_0, e_-1] dropped.  Each bin sums its weights in input order.
+    """
+    bin_edges = np.asarray(bin_edges, dtype=float)
+    if np.any(bin_edges[:-1] > bin_edges[1:]):
+        raise ValueError("bin edges must increase monotonically")
+    n_bins = len(bin_edges) - 1
+    index = np.searchsorted(bin_edges, values, side="right") - 1
+    index[values == bin_edges[-1]] = n_bins - 1
+    inside = (index >= 0) & (index < n_bins)
+    if not inside.all():
+        index, weights = index[inside], weights[inside]
+    return np.bincount(index, weights, minlength=n_bins).astype(float, copy=False)
+
+
 def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
                 bin_edges: np.ndarray) -> np.ndarray:
     """Bin the nu > eps_deg pairs (frequencies values) on the positive half and mirror.
@@ -210,7 +229,7 @@ def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
             f"{bin_edges[-1]:.6g}; enlarge nu_max"
         )
     half_edges = bin_edges[n_bins // 2:]
-    half, _ = np.histogram(values, bins=half_edges, weights=pair_mass)
+    half = _bin_sum(values, pair_mass, half_edges)
     return np.concatenate([half[::-1], half])
 
 
@@ -276,11 +295,8 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
     """
     if bin_edges is None:
         bin_edges = energy_bins(ps.bounds, ps.site_count)
-    mass, _ = np.histogram(
-        ps.energies[ps.degenerate_rows],
-        bins=bin_edges,
-        weights=np.pi / ps.site_count * ps.degenerate_abs2,
-    )
+    mass = _bin_sum(ps.energies[ps.degenerate_rows],
+                    np.pi / ps.site_count * ps.degenerate_abs2, bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=mass,

@@ -75,10 +75,9 @@ def write_sweep_csv(path, table):
 
 def write_trace_csv(path, trace):
     """Columns: t, field, current, running_work."""
-    running = trace.running_work()
-    rows = [
-        (fmt(trace.times[i]), fmt(trace.field[i]), fmt(trace.current[i]),
-         fmt(running[i]))
-        for i in range(len(trace.times))
-    ]
-    _write_csv(path, ["t", "field", "current", "running_work"], rows)
+    columns = (trace.times, trace.field, trace.current, trace.running_work())
+    path = ensure_new(path)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        handle.write("t,field,current,running_work\r\n")  # csv.writer's dialect
+        handle.writelines("%.17g,%.17g,%.17g,%.17g\r\n" % row
+                          for row in zip(*(column.tolist() for column in columns)))

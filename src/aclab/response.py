@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .conductivity import MeasureHistogram
 
@@ -66,6 +65,8 @@ class FieldPulse:
 
     def time_window(self, tail_fraction: float = 1e-13) -> float:
         """Half-window t_max with envelope tail mass below tail_fraction of the total."""
+        from scipy.special import erfcinv  # slow to import, and needed only here
+
         return float(np.sqrt(2.0) * self.width * erfcinv(tail_fraction))
 
 

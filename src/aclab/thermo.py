@@ -9,7 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+
+def _logistic(x):
+    """1 / (1 + e^-x); below x = -709.8 e^-x overflows to inf, giving 0 without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ def fermi(energy, p: ThermoParams):
     if p.temperature == 0.0:
         out = (energy <= p.fermi_level).astype(float)
     else:
-        out = expit(-(energy - p.fermi_level) / p.temperature)
+        out = _logistic(-(energy - p.fermi_level) / p.temperature)
     return out if out.ndim else float(out)
 
 
@@ -39,7 +44,7 @@ def fermi_derivative_neg(energy, p: ThermoParams):
     if p.temperature == 0.0:
         raise ValueError("(-f)' is distributional at T = 0; use the step branch instead")
     x = (np.asarray(energy, dtype=float) - p.fermi_level) / p.temperature
-    out = expit(x) * expit(-x) / p.temperature
+    out = _logistic(x) * _logistic(-x) / p.temperature
     return out if out.ndim else float(out)
 
 

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,19 @@ def map_calls(monkeypatch):
 
     monkeypatch.setattr(aclab.ensemble, "_map_indices", counted)
     return calls
+
+
+def test_import_path_loads_no_scipy():
+    # scipy.special alone costs more than the rest of the import; only
+    # FieldPulse.time_window and convolution_check import scipy, when called
+    src = str(Path(aclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, aclab.cli; print(' '.join(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=60,
+                            env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert "aclab.cli" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def small_config(tmp_path, **overrides):

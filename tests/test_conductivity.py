@@ -12,6 +12,7 @@ from aclab import (
     conductivity_measure,
     convolution_check,
     eigendecompose,
+    energy_bins,
     frequency_bins,
     pair_spectrum,
     psi_diagonal,
@@ -21,6 +22,7 @@ from aclab import (
     sum_rule_mass,
     upsilon_measure,
 )
+from aclab.conductivity import _bin_sum
 
 from conftest import MASTER_SEED, make_pair_spectrum, plane_wave_atom
 
@@ -141,6 +143,44 @@ def test_pair_table_matches_dense_velocity_route(lattice, strength, seed):
     if lattice.boundary == "periodic" and lattice.linear_size == 2:
         # x + e1 and x - e1 are the same site, so the two bonds cancel exactly
         assert not ps.velocity_abs2.any() and not ps.degenerate_abs2.any()
+
+
+@st.composite
+def binning_cases(draw):
+    """Edges of a symmetric frequency grid or an energy grid, and values on and off them."""
+    low = draw(st.floats(-10.0, 10.0))
+    bounds = (low, low + draw(st.floats(0.1, 20.0)))
+    sites = draw(st.integers(1, 64))
+    grid = draw(st.sampled_from([frequency_bins, energy_bins]))
+    edges = grid(bounds, sites)
+    span = edges[-1] - edges[0]
+    value = st.one_of(
+        st.floats(edges[0], edges[-1]),
+        st.sampled_from(edges.tolist()),  # interior, first and last edges
+        st.floats(edges[-1], edges[-1] + span, exclude_min=True),
+        st.floats(edges[0] - span, edges[0], exclude_max=True),
+    )
+    values = draw(st.lists(value, max_size=200))
+    weights = draw(st.lists(st.floats(0.0, 1e3), min_size=len(values),
+                            max_size=len(values)))
+    return edges, np.array(values, dtype=float), np.array(weights, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binning_cases())
+def test_bin_sum_matches_np_histogram(case):
+    # np.histogram's bins: half-open, the last one closed, out-of-range dropped
+    edges, values, weights = case
+    counts, _ = np.histogram(values, bins=edges)
+    assert np.array_equal(_bin_sum(values, np.ones_like(values), edges), counts)
+    masses, _ = np.histogram(values, bins=edges, weights=weights)
+    gap = np.abs(_bin_sum(values, weights, edges) - masses)
+    assert gap.max() <= 1e-12 * weights.sum()
+
+
+def test_bin_sum_rejects_decreasing_edges():
+    with pytest.raises(ValueError, match="monotonically"):
+        _bin_sum(np.zeros(1), np.ones(1), np.array([0.0, 2.0, 1.0]))
 
 
 class TestTwoSiteClosedForms:

@@ -82,6 +82,20 @@ def test_rejects_non_hermitian():
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_hermitian_gate_is_1e_12_of_the_scale_and_rejects_nan():
+    h = build_laplacian(LatticeSpec(1, 4, "dirichlet"))  # scale 1
+    inside = h.copy()
+    inside[0, 1] += 0.9e-12
+    eigendecompose(inside)
+    outside = h.copy()
+    outside[0, 1] += 1.1e-12
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigendecompose(outside)
+    h[2, 2] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigendecompose(h)
+
+
 def test_bounds_violation_detected():
     with pytest.raises(RuntimeError, match="bounds"):
         eigendecompose(np.diag([0.0, 5.0]), bounds=(-1.0, 1.0))

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from aclab import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
 
 finite_energy = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
+# Up to +-1e308 and +-inf, weighted toward the range where e^-x overflows.
+any_exponent = st.one_of(st.floats(min_value=-1e308, max_value=1e308),
+                         st.floats(min_value=-800.0, max_value=800.0),
+                         st.sampled_from([np.inf, -np.inf]))
 
 
 def test_fermi_midpoint():
@@ -49,6 +54,25 @@ def test_derivative_even_about_mu():
 def test_derivative_rejects_t_zero():
     with pytest.raises(ValueError):
         fermi_derivative_neg(0.0, ThermoParams(0.0, 0.0))
+
+
+def _assert_near(actual, expected, eps_count):
+    """|actual - expected| <= eps_count * eps * |expected|, plus one subnormal spacing."""
+    gap = np.abs(actual - expected)
+    allowed = eps_count * np.finfo(float).eps * np.abs(expected) + np.spacing(0.0)
+    assert np.all(gap <= allowed), (actual, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_exponent, min_size=1, max_size=40))
+def test_logistic_matches_the_libm_forms(xs):
+    # numpy's exp and libm's differ by up to 1 ulp; through 1 / (1 + e^-x) and
+    # the rounding of the sum and the quotient in both forms that bounds the
+    # gap by 3 eps relative, and the product in (-f)' by 7 eps.
+    x = np.array(xs)
+    p = ThermoParams(1.0, 0.0)
+    _assert_near(fermi(x, p), expit(-x), 3)
+    _assert_near(fermi_derivative_neg(x, p), expit(x) * expit(-x), 7)
 
 
 def test_pair_weight_step_quotient():
