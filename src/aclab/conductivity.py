@@ -2,7 +2,7 @@
 
 Per realization, the dissipative response is encoded by the eigenpair table
 (nu_nm = E_n - E_m, |<n|v|m>|^2).  pair_spectrum forms |<n|v|m>|^2 as
-|(Q^H hop)_nm|^2 with hop = Q[x + e1] - Q[x - e1], from the eigenvectors and
+|(Q^T hop)_nm|^2 with hop = Q[x + e1] - Q[x - e1], from the eigenvectors and
 the lattice's neighbour shift (no velocity matrix), splits that table once,
 at the degeneracy threshold eps_deg, and every measure reads the split:
 
@@ -129,36 +129,63 @@ def _shifted_rows(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and cols (int32) of the strict lower triangle of an n x n table, row-major."""
+    counts = np.arange(n, dtype=np.int32)
+    rows = np.repeat(counts, counts)
+    starts = np.repeat(counts * (counts - 1) // 2, counts)
+    cols = np.arange(rows.size, dtype=np.int32)
+    cols -= starts
+    return rows, cols
+
+
 def pair_spectrum(data: SpectralData, lattice: LatticeSpec) -> PairSpectrum:
     """Tabulate |<n|v|m>|^2 for all eigenpairs of one realization, split at eps_deg.
 
-    (v phi)(x) = -i (phi(x + e1) - phi(x - e1)), so <n|v|m> = -i (Q^H hop)_nm.
-    The measures read the split; none compares a pair frequency with eps_deg again.
+    (v phi)(x) = -i (phi(x + e1) - phi(x - e1)), so <n|v|m> = -i (Q^T hop)_nm.
+    The energies ascend and fl(a - b) = -fl(b - a), so every pair of the
+    strict lower triangle has nu >= 0, and a pair above the diagonal is
+    degenerate exactly when its mirror is: both halves of the split come from
+    the triangle.  The measures read the split; none compares a pair
+    frequency with eps_deg again.
     """
     q = data.vectors
-    if q.shape != (lattice.site_count, lattice.site_count):
+    n = lattice.site_count
+    if q.shape != (n, n):
         raise ValueError(f"eigenbasis shape {q.shape} does not match the "
-                         f"lattice's {lattice.site_count} sites")
-    bounds = data.bounds or (float(data.energies[0]), float(data.energies[-1]))
+                         f"lattice's {n} sites")
+    e = data.energies
+    bounds = data.bounds or (float(e[0]), float(e[-1]))
     eps = degeneracy_threshold(bounds)
     hop = _shifted_rows(q, lattice.neighbor_shift(0, +1))
     hop -= _shifted_rows(q, lattice.neighbor_shift(0, -1))
-    abs2 = np.abs(q.conj().T @ hop) ** 2
-    e = data.energies
-    nu = e[:, None] - e[None, :]
+    abs2 = q.T @ hop
+    del hop
+    np.square(abs2, out=abs2)
+    rows, cols = _lower_triangle(n)
+    nu = e[rows] - e[cols]
     positive = nu > eps
-    degenerate = np.abs(nu) <= eps
-    rows, cols = np.nonzero(positive)
-    degenerate_rows, degenerate_cols = np.nonzero(degenerate)
+    degenerate_rows = np.arange(n, dtype=np.int32)
+    degenerate_cols = np.arange(n, dtype=np.int32)
+    if not positive.all():
+        low = ~positive
+        if not (nu[low] >= 0.0).all():  # an out-of-order step fails nu > eps; NaN too
+            raise ValueError("energies must ascend")
+        low_rows, low_cols = rows[low], cols[low]
+        rows, cols, nu = rows[positive], cols[positive], nu[positive]
+        degenerate_rows = np.concatenate([low_rows, low_cols, degenerate_rows])
+        degenerate_cols = np.concatenate([low_cols, low_rows, degenerate_cols])
+        order = np.argsort(degenerate_rows.astype(np.int64) * n + degenerate_cols)
+        degenerate_rows, degenerate_cols = degenerate_rows[order], degenerate_cols[order]
     return PairSpectrum(
         energies=e,
-        rows=rows.astype(np.int32),
-        cols=cols.astype(np.int32),
-        nu=nu[positive],
-        velocity_abs2=abs2[positive],
-        degenerate_rows=degenerate_rows.astype(np.int32),
-        degenerate_cols=degenerate_cols.astype(np.int32),
-        degenerate_abs2=abs2[degenerate],
+        rows=rows,
+        cols=cols,
+        nu=nu,
+        velocity_abs2=abs2[rows, cols],
+        degenerate_rows=degenerate_rows,
+        degenerate_cols=degenerate_cols,
+        degenerate_abs2=abs2[degenerate_rows, degenerate_cols],
         site_count=data.site_count,
         bounds=bounds,
     )
@@ -343,8 +370,8 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
     for record in records:
         ps, data = record.pairs, record.spectral
         lhs.append(gamma_mass(ps, p) + _tangent_atom(ps, p))
-        f_h = (data.vectors * fermi(data.energies, p)) @ data.vectors.conj().T
-        rhs.append(2.0 * np.pi * float(np.mean(f_h[forward, cols].real)))
+        f_h = (data.vectors * fermi(data.energies, p)) @ data.vectors.T
+        rhs.append(2.0 * np.pi * float(np.mean(f_h[forward, cols])))
     lhs = np.array(lhs)
     rhs = np.array(rhs)
     gap = lhs - rhs

@@ -25,7 +25,7 @@ from .conductivity import (
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
 from .lattice import LatticeSpec
-from .spectral import SpectralData, build_hamiltonian, eigendecompose
+from .spectral import SpectralData, eigendecompose
 from .thermo import ThermoParams
 
 SCALAR_KEYS = (
@@ -91,8 +91,7 @@ def realization_pair_spectrum(lattice: LatticeSpec, spec: DisorderSpec) -> Reali
     what it needs of a realization from the returned record.
     """
     potential = sample_potential(spec, lattice)
-    data = eigendecompose(build_hamiltonian(lattice, potential),
-                          bounds=spectral_bounds(spec, lattice))
+    data = eigendecompose(lattice, potential, bounds=spectral_bounds(spec, lattice))
     return Realization(potential=potential, spectral=data,
                        pairs=pair_spectrum(data, lattice))
 

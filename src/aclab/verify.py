@@ -7,7 +7,7 @@ Each check returns a CheckResult with status "pass", "fail", or "skipped"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class CheckResult:
 @dataclass
 class VerifyReport:
     checks: list
+    eigensolve: dict = field(default_factory=dict)  # observed, not gated: see run_verify
 
     @property
     def passed(self) -> bool:
@@ -50,7 +51,8 @@ class VerifyReport:
         return out
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks],
+                "eigensolve": self.eigensolve}
 
 
 def _result(name, ok, margin, detail) -> CheckResult:
@@ -323,4 +325,11 @@ def run_verify(config: RunConfig) -> VerifyReport:
         check_energy_routes(ctx),
         check_oracle_energy(ctx),
     ]
-    return VerifyReport(checks=checks)
+    # eigendecompose raises past its gates, so these are how close each came
+    solves = [r.spectral for r in ctx.records]
+    eigensolve = {
+        "realizations": len(solves),
+        "max_residual": max(s.residual for s in solves),
+        "max_orthonormality_defect": max(s.orthonormality for s in solves),
+    }
+    return VerifyReport(checks=checks, eigensolve=eigensolve)

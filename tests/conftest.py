@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from aclab import (
     DisorderSpec,
     LatticeSpec,
-    build_hamiltonian,
-    build_laplacian,
     eigendecompose,
     pair_spectrum,
     sample_potential,
@@ -20,8 +19,7 @@ def two_site():
     """Free 2-site open chain: H = [[0,-1],[-1,0]], spectrum {-1, +1}."""
     lattice = LatticeSpec(dimension=1, linear_size=2, boundary="dirichlet")
     disorder = DisorderSpec(strength=0.0, seed=MASTER_SEED)
-    h = build_laplacian(lattice)
-    data = eigendecompose(h, bounds=spectral_bounds(disorder, lattice))
+    data = eigendecompose(lattice, np.zeros(2), bounds=spectral_bounds(disorder, lattice))
     ps = pair_spectrum(data, lattice)
     return lattice, disorder, data, ps
 
@@ -29,9 +27,20 @@ def two_site():
 def make_pair_spectrum(lattice, disorder, index=0):
     """One seeded realization, diagonalized, with its velocity pair table."""
     spec = disorder.with_index(index)
-    h = build_hamiltonian(lattice, sample_potential(spec, lattice))
-    data = eigendecompose(h, bounds=spectral_bounds(spec, lattice))
+    data = eigendecompose(lattice, sample_potential(spec, lattice),
+                          bounds=spectral_bounds(spec, lattice))
     return data, pair_spectrum(data, lattice)
+
+
+MAX_SIZE = {1: 16, 2: 6, 3: 4}
+
+
+@st.composite
+def lattices(draw):
+    """A box of dimension 1..3 and size 2..MAX_SIZE[d], either boundary."""
+    d = draw(st.integers(1, 3))
+    return LatticeSpec(d, draw(st.integers(2, MAX_SIZE[d])),
+                       draw(st.sampled_from(["periodic", "dirichlet"])))
 
 
 def plane_wave_atom(length, p):

@@ -13,7 +13,6 @@ from aclab import (
     ThermoParams,
     absorbed_energy_lr,
     absorbed_energy_td,
-    build_laplacian,
     build_position,
     build_velocity,
     conductivity_measure,
@@ -240,7 +239,8 @@ def test_criterion_9_energy_absorption_oracle():
     disorder = DisorderSpec(strength=1.0, seed=SEED)
     p = ThermoParams(1.0, 0.0)
     spec = disorder.with_index(0)
-    h = build_hamiltonian(lattice, sample_potential(spec, lattice))
+    potential = sample_potential(spec, lattice)
+    h = build_hamiltonian(lattice, potential)
     x1 = build_position(lattice)
     bounds = spectral_bounds(spec, lattice)
     pulse = FieldPulse(amplitude=1.0, width=8.0, carrier=2.0)
@@ -251,7 +251,7 @@ def test_criterion_9_energy_absorption_oracle():
 
     extraction = linear_response_extract(h, x1, pulse, p,
                                          [0.2, 0.1, 0.05, 0.025], dt=5e-3)
-    data = eigendecompose(h, bounds=bounds)
+    data = eigendecompose(lattice, potential, bounds=bounds)
     ps = pair_spectrum(data, lattice)
     fine = frequency_bins(bounds, lattice.site_count, bins_per_side=4096)
     sigma = conductivity_measure(ps, p, fine)
@@ -278,9 +278,8 @@ def test_criterion_9_energy_absorption_oracle():
 def test_criterion_10_two_site_regression():
     lattice = LatticeSpec(1, 2, "dirichlet")
     disorder = DisorderSpec(strength=0.0, seed=SEED)
-    h = build_laplacian(lattice)
     bounds = spectral_bounds(disorder, lattice)
-    data = eigendecompose(h, bounds=bounds)
+    data = eigendecompose(lattice, np.zeros(2), bounds=bounds)
     ps = pair_spectrum(data, lattice)
     edges = frequency_bins(bounds, lattice.site_count)
 

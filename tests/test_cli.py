@@ -284,6 +284,21 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == 0
         assert sum(eigh_calls) == 12
 
+    def test_eigensolve_provenance_is_the_worst_realization(self, tmp_path):
+        path, _ = small_config(tmp_path, ensemble={"realizations": 4})
+        main(["verify", "--config", str(path)])
+        block = json.loads((tmp_path / "out" / "verify.json").read_text())["report"]["eigensolve"]
+        config = load(path)
+        solves = [aclab.ensemble.realization_pair_spectrum(
+            config.lattice, config.disorder.with_index(i)).spectral for i in range(4)]
+        assert block == {
+            "realizations": 4,
+            "max_residual": max(s.residual for s in solves),
+            "max_orthonormality_defect": max(s.orthonormality for s in solves),
+        }
+        assert 0.0 < block["max_residual"] <= 1e-10
+        assert 0.0 < block["max_orthonormality_defect"] <= 1e-10
+
     def test_support_margin_is_positive_zero(self, tmp_path):
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})
         report = run_verify(load(path))

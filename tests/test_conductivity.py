@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aclab import (
     DisorderSpec,
     LatticeSpec,
     Realization,
+    SpectralData,
     ThermoParams,
-    build_laplacian,
     build_velocity,
     conductivity_measure,
     convolution_check,
@@ -24,14 +24,14 @@ from aclab import (
 )
 from aclab.conductivity import _bin_sum
 
-from conftest import MASTER_SEED, make_pair_spectrum, plane_wave_atom
+from conftest import MASTER_SEED, lattices, make_pair_spectrum, plane_wave_atom
 
 
 def _free_ring(length):
     lattice = LatticeSpec(1, length, "periodic")
     disorder = DisorderSpec(strength=0.0, seed=MASTER_SEED)
     bounds = spectral_bounds(disorder, lattice)
-    data = eigendecompose(build_laplacian(lattice), bounds=bounds)
+    data = eigendecompose(lattice, np.zeros(length), bounds=bounds)
     return lattice, data, pair_spectrum(data, lattice)
 
 
@@ -124,16 +124,6 @@ class TestPairTableSplit:
         _assert_stored_abs2_matches(ps, d2)
 
 
-MAX_SIZE = {1: 16, 2: 6, 3: 4}
-
-
-@st.composite
-def lattices(draw):
-    d = draw(st.integers(1, 3))
-    return LatticeSpec(d, draw(st.integers(2, MAX_SIZE[d])),
-                       draw(st.sampled_from(["periodic", "dirichlet"])))
-
-
 @settings(max_examples=60, deadline=None)
 @given(lattices(), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
 def test_pair_table_matches_dense_velocity_route(lattice, strength, seed):
@@ -143,6 +133,40 @@ def test_pair_table_matches_dense_velocity_route(lattice, strength, seed):
     if lattice.boundary == "periodic" and lattice.linear_size == 2:
         # x + e1 and x - e1 are the same site, so the two bonds cancel exactly
         assert not ps.velocity_abs2.any() and not ps.degenerate_abs2.any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices(), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
+@example(LatticeSpec(3, 2, "periodic"), 0.0, 0)  # every pair degenerate
+@example(LatticeSpec(2, 4, "periodic"), 0.0, 0)  # clean degeneracies at L > 2
+@example(LatticeSpec(1, 2, "dirichlet"), 0.0, 0)
+def test_pair_table_is_the_dense_split_bit_for_bit(lattice, strength, seed):
+    # the triangle route against n x n nu, nonzero(nu > eps) and nonzero(|nu| <= eps)
+    data, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=seed))
+    q, e, n = data.vectors, data.energies, lattice.site_count
+    padded = np.vstack([q, np.zeros(n)])  # an out-of-box target (-1) reads zeros
+    hop = padded[lattice.neighbor_shift(0, +1)] - padded[lattice.neighbor_shift(0, -1)]
+    abs2 = (q.T @ hop) ** 2
+    nu = e[:, None] - e[None, :]
+    rows, cols = np.nonzero(nu > ps.eps_deg)
+    degenerate = np.nonzero(np.abs(nu) <= ps.eps_deg)
+    expected = {"rows": rows, "cols": cols, "nu": nu[rows, cols],
+                "velocity_abs2": abs2[rows, cols],
+                "degenerate_rows": degenerate[0], "degenerate_cols": degenerate[1],
+                "degenerate_abs2": abs2[degenerate]}
+    for name, want in expected.items():
+        got = getattr(ps, name)
+        assert got.dtype == (np.int32 if want.dtype.kind == "i" else want.dtype), name
+        assert np.array_equal(got, want), name
+
+
+def test_pair_spectrum_rejects_descending_energies(two_site):
+    lattice, _, data, _ = two_site
+    flipped = SpectralData(energies=data.energies[::-1].copy(),
+                           vectors=data.vectors[:, ::-1].copy(),
+                           site_count=data.site_count, bounds=data.bounds)
+    with pytest.raises(ValueError, match="ascend"):
+        pair_spectrum(flipped, lattice)
 
 
 @st.composite

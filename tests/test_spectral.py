@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aclab import (
     DisorderSpec,
@@ -14,6 +15,9 @@ from aclab import (
     wegner_check,
 )
 from aclab.lattice import plane_wave_energies
+from aclab.spectral import _stencil_residual
+
+from conftest import lattices
 
 
 def test_hamiltonian_zero_potential_is_kinetic():
@@ -34,42 +38,43 @@ def test_hamiltonian_size_mismatch():
 
 
 def test_two_by_two_closed_form():
-    energies = eigendecompose(np.array([[0.0, -1.0], [-1.0, 0.0]])).energies
+    energies = eigendecompose(LatticeSpec(1, 2, "dirichlet"), np.zeros(2)).energies
     assert np.allclose(energies, [-1.0, 1.0], atol=1e-15)
 
 
 def test_free_ring_energies():
     lattice = LatticeSpec(1, 4, "periodic")
-    data = eigendecompose(build_laplacian(lattice))
+    data = eigendecompose(lattice, np.zeros(4))
     assert np.allclose(data.energies, [-2.0, 0.0, 0.0, 2.0], atol=1e-14)
 
 
+EIGHT_SITES = LatticeSpec(3, 2, "dirichlet")
+
+
 def test_identity_shift_invariance():
-    rng = np.random.default_rng(3)
-    h = rng.uniform(-1, 1, (8, 8))
-    h = (h + h.T) / 2
+    potential = np.random.default_rng(3).uniform(-1, 1, 8)
     shift = 1.7
-    assert np.allclose(eigendecompose(h + shift * np.eye(8)).energies,
-                       eigendecompose(h).energies + shift, atol=1e-12)
+    assert np.allclose(eigendecompose(EIGHT_SITES, potential + shift).energies,
+                       eigendecompose(EIGHT_SITES, potential).energies + shift, atol=1e-12)
 
 
 def test_residual_and_orthonormality_random_eight_by_eight():
-    rng = np.random.default_rng(11)
-    h = rng.uniform(-1, 1, (8, 8))
-    h = (h + h.T) / 2
-    data = eigendecompose(h)
+    potential = np.random.default_rng(11).uniform(-1, 1, 8)
+    h = build_hamiltonian(EIGHT_SITES, potential)
+    data = eigendecompose(EIGHT_SITES, potential)
     residual = np.abs(h @ data.vectors - data.vectors * data.energies[None, :]).max()
     gram_defect = np.abs(data.vectors.T @ data.vectors - np.eye(8)).max()
     assert residual < 1e-12
     assert gram_defect < 1e-12
+    assert data.residual < 1e-12
+    assert data.orthonormality < 1e-12
 
 
 def test_sign_gauge_deterministic():
-    rng = np.random.default_rng(5)
-    h = rng.uniform(-1, 1, (6, 6))
-    h = (h + h.T) / 2
-    a = eigendecompose(h).vectors
-    b = eigendecompose(h.copy()).vectors
+    lattice = LatticeSpec(1, 6, "periodic")
+    potential = np.random.default_rng(5).uniform(-1, 1, 6)
+    a = eigendecompose(lattice, potential).vectors
+    b = eigendecompose(lattice, potential.copy()).vectors
     assert np.array_equal(a, b)
     # first significant component of every column is positive
     for col in a.T:
@@ -77,33 +82,73 @@ def test_sign_gauge_deterministic():
         assert pivot > 0
 
 
-def test_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.sampled_from([0.0, 1.0, 7.0]), st.integers(0, 2**32 - 1))
+@example(LatticeSpec(3, 2, "periodic"), 0.0, 0)  # doubled bonds on every axis
+@example(LatticeSpec(2, 2, "dirichlet"), 1.0, 0)
+def test_stencil_residual_matches_the_dense_residual(lattice, strength, seed):
+    spec = DisorderSpec(strength=strength, seed=seed)
+    potential = sample_potential(spec, lattice)
+    data = eigendecompose(lattice, potential)
+    h = build_hamiltonian(lattice, potential)
+    scale = max(np.abs(h).max(), 1.0)
+    dense = h @ data.vectors - data.vectors * data.energies[None, :]
+    stencil = _stencil_residual(lattice, potential, data.vectors, data.energies)
+    assert np.abs(stencil - dense).max() <= 1e-14 * scale
+    assert abs(data.residual - np.abs(dense).max()) <= 1e-14 * scale
+    gram = data.vectors.T @ data.vectors - np.eye(lattice.site_count)
+    assert abs(data.orthonormality - np.abs(gram).max()) <= 1e-15
 
 
-def test_hermitian_gate_is_1e_12_of_the_scale_and_rejects_nan():
-    h = build_laplacian(LatticeSpec(1, 4, "dirichlet"))  # scale 1
-    inside = h.copy()
-    inside[0, 1] += 0.9e-12
-    eigendecompose(inside)
-    outside = h.copy()
-    outside[0, 1] += 1.1e-12
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigendecompose(outside)
-    h[2, 2] = np.nan
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigendecompose(h)
+def _perturb_entry(vectors):
+    vectors[1, 2] += 1e-8
+
+
+def _scale_column(vectors):
+    # the residual scales with the column and stays far below its gate
+    vectors[:, 1] *= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("corrupt, message", [(_perturb_entry, "eigen residual"),
+                                              (_scale_column, "orthonormality")],
+                         ids=["perturbed-entry", "scaled-column"])
+@pytest.mark.parametrize("lattice", [LatticeSpec(1, 8, "periodic"),
+                                     LatticeSpec(2, 3, "dirichlet"),
+                                     LatticeSpec(3, 2, "periodic")],
+                         ids=["d1-periodic", "d2-dirichlet", "d3-L2-periodic"])
+def test_gates_catch_a_corrupted_eigenbasis(monkeypatch, lattice, corrupt, message):
+    potential = sample_potential(DisorderSpec(strength=1.0, seed=4), lattice)
+    eigendecompose(lattice, potential)
+    original = np.linalg.eigh
+
+    def corrupted(a, *args, **kwargs):
+        energies, vectors = original(a, *args, **kwargs)
+        corrupt(vectors)
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(RuntimeError, match=message):
+        eigendecompose(lattice, potential)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_potential(bad):
+    lattice = LatticeSpec(1, 4, "dirichlet")
+    potential = np.zeros(4)
+    potential[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        eigendecompose(lattice, potential)
 
 
 def test_bounds_violation_detected():
     with pytest.raises(RuntimeError, match="bounds"):
-        eigendecompose(np.diag([0.0, 5.0]), bounds=(-1.0, 1.0))
+        eigendecompose(LatticeSpec(1, 2, "dirichlet"), np.array([0.0, 5.0]),
+                       bounds=(-1.0, 1.0))
 
 
 def test_dos_counting_single_realization():
     lattice = LatticeSpec(1, 4, "periodic")
-    data = eigendecompose(build_laplacian(lattice), bounds=(-2.0, 2.0))
+    data = eigendecompose(lattice, np.zeros(4), bounds=(-2.0, 2.0))
     edges = np.array([-2.5, -1.0, 1.0, 2.5])
     dos = dos_histogram([data], edges)
     assert np.allclose(dos.mean_mass, [0.25, 0.5, 0.25])
@@ -115,7 +160,7 @@ def test_dos_free_chain_matches_plane_wave_counting():
     # carry the inverse-square-root enhancement over the band centre; edge
     # count chosen so no bin edge collides with an exact eigenvalue
     lattice = LatticeSpec(1, 512, "periodic")
-    data = eigendecompose(build_laplacian(lattice), bounds=(-2.0, 2.0))
+    data = eigendecompose(lattice, np.zeros(512), bounds=(-2.0, 2.0))
     edges = np.linspace(-2.0 - 1e-7, 2.0 + 1e-7, 34)
     dos = dos_histogram([data], edges)
     exact, _ = np.histogram(plane_wave_energies(lattice), bins=edges)
@@ -127,21 +172,20 @@ def test_dos_free_chain_matches_plane_wave_counting():
 
 def test_dos_requires_covering_bins():
     lattice = LatticeSpec(1, 8, "periodic")
-    data = eigendecompose(build_laplacian(lattice), bounds=(-2.0, 2.0))
+    data = eigendecompose(lattice, np.zeros(8), bounds=(-2.0, 2.0))
     with pytest.raises(ValueError, match="cover"):
         dos_histogram([data], np.linspace(-1.0, 2.0, 8))
 
 
 def _dos_batch(lattice, spec, count, edges=None, negate=False):
+    # negate: the spectrum of -H.  On a bipartite box the staggered sign flip
+    # maps the kinetic matrix to its negative, so -H has the spectrum of K - V.
     batch = []
     bounds = spectral_bounds(spec, lattice)
-    kin = None
     for index in range(count):
         potential = sample_potential(spec.with_index(index), lattice)
-        h = build_hamiltonian(lattice, potential)
-        if negate:
-            h = -h
-        batch.append(eigendecompose(h, bounds=bounds))
+        batch.append(eigendecompose(lattice, -potential if negate else potential,
+                                    bounds=bounds))
     return batch
 
 
