@@ -34,8 +34,8 @@ from .lattice import (
     PERIODIC,
     LatticeSpec,
     build_laplacian,
-    build_position,
     build_velocity,
+    position_values,
 )
 from .response import (
     FieldPulse,

@@ -403,7 +403,6 @@ def high_t_ceiling(temperature: float, upsilon_total, psi_total):
 class SandwichReport:
     """Per-bin check of (pi/4T) C Upsilon <= Gamma <= (pi/4T) Upsilon."""
 
-    convention: int
     c_value: float
     tolerance: float
     worst_lower: float  # smallest slack of each bound over the bins with Upsilon > 0,
@@ -413,12 +412,11 @@ class SandwichReport:
 
 
 def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
-                   p: ThermoParams, bounds: tuple[float, float],
-                   convention: int = 2) -> SandwichReport:
+                   p: ThermoParams, bounds: tuple[float, float]) -> SandwichReport:
     """Check the thermally scaled pair-measure bounds bin by bin.
 
     Gamma is sigma with its atom removed, i.e. exactly the bin array.  The
-    additive tolerance is 1e-10 (pi/4T) Upsilon(R).  With convention 2 the
+    additive tolerance is 1e-10 (pi/4T) Upsilon(R).  With C = c_mu_t the
     bounds hold for every realization because all eigenvalues lie inside the
     deterministic bounds.
     """
@@ -427,7 +425,7 @@ def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
     if not np.array_equal(sigma.bin_edges, upsilon.bin_edges):
         raise ValueError("sigma and upsilon histograms use different bins")
     prefactor = np.pi / (4.0 * p.temperature)
-    c_value = c_mu_t(p, bounds, convention)
+    c_value = c_mu_t(p, bounds)
     tol = 1e-10 * prefactor * upsilon.total()
     gamma = sigma.bin_mass
     envelope = prefactor * upsilon.bin_mass
@@ -439,7 +437,6 @@ def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
     worst_lower = float((ratio - c_value).min(initial=np.inf))
     worst_upper = float((1.0 - ratio).min(initial=np.inf))
     return SandwichReport(
-        convention=convention,
         c_value=float(c_value),
         tolerance=float(tol),
         worst_lower=worst_lower,

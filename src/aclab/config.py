@@ -8,7 +8,7 @@ function of its config; every output artifact embeds the config dict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .disorder import DisorderSpec
@@ -38,9 +38,7 @@ class BinSettings:
 class DynamicsSettings:
     alphas: tuple = (0.2, 0.1, 0.05, 0.025)
     dt: float | None = None
-    dt_scale: float = 0.05
-    route_check_dt: float | None = None
-    tail_fraction: float = 1e-13
+    route_check_dt: float = 2.5e-4
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,7 @@ class RunConfig:
             "dynamics": {
                 "alphas": list(self.dynamics.alphas),
                 "dt": self.dynamics.dt,
-                "dt_scale": self.dynamics.dt_scale,
                 "route_check_dt": self.dynamics.route_check_dt,
-                "tail_fraction": self.dynamics.tail_fraction,
             },
             "output": {"directory": self.output_dir},
         }
@@ -152,9 +148,8 @@ def from_dict(payload: dict) -> RunConfig:
     ens = _take(top["ensemble"], "ensemble", {"realizations": None})
     _require(ens, "ensemble", ("realizations",))
     sweeps = _take(top["sweeps"], "sweeps", {"temperature": [], "disorder": []})
-    dyn = _take(top["dynamics"], "dynamics",
-                {"alphas": [0.2, 0.1, 0.05, 0.025], "dt": None, "dt_scale": 0.05,
-                 "route_check_dt": None, "tail_fraction": 1e-13})
+    dyn = _take(top["dynamics"], "dynamics", asdict(DynamicsSettings()))
+    _require(dyn, "dynamics", ("route_check_dt",))
     out = _take(top["output"], "output", {"directory": None})
     _require(out, "output", ("directory",))
 
@@ -197,10 +192,7 @@ def from_dict(payload: dict) -> RunConfig:
         dynamics=DynamicsSettings(
             alphas=tuple(float(a) for a in dyn["alphas"]),
             dt=None if dyn["dt"] is None else float(dyn["dt"]),
-            dt_scale=float(dyn["dt_scale"]),
-            route_check_dt=(None if dyn["route_check_dt"] is None
-                            else float(dyn["route_check_dt"])),
-            tail_fraction=float(dyn["tail_fraction"]),
+            route_check_dt=float(dyn["route_check_dt"]),
         ),
         temperature_grid=tuple(float(t) for t in sweeps["temperature"]),
         disorder_grid=tuple(float(v) for v in sweeps["disorder"]),

@@ -108,18 +108,12 @@ def build_velocity(spec: LatticeSpec) -> np.ndarray:
     return vel
 
 
-def build_position(spec: LatticeSpec) -> np.ndarray:
-    """Diagonal first-coordinate operator, centred at the box midpoint.
-
-    Only defined on an open box; a torus has no single-valued coordinate.
-    """
-    if spec.boundary != DIRICHLET:
-        raise ValueError("position operator requires dirichlet boundary")
-    return np.diag(position_values(spec))
-
-
 def position_values(spec: LatticeSpec) -> np.ndarray:
-    """Centred first coordinates, values in {-(L-1)/2, ..., +(L-1)/2}."""
+    """Diagonal of the first-coordinate operator X1, centred at the box midpoint.
+
+    Values lie in {-(L-1)/2, ..., +(L-1)/2}.  Only defined on an open box; a
+    torus has no single-valued coordinate.
+    """
     if spec.boundary != DIRICHLET:
         raise ValueError("position operator requires dirichlet boundary")
     return spec.coordinates()[:, 0] - (spec.linear_size - 1) / 2.0

@@ -6,11 +6,15 @@ transform Ehat(nu) = (A s / (2 sqrt(2 pi)))
 (exp(-s^2 (nu - nu0)^2 / 2) + exp(-s^2 (nu + nu0)^2 / 2)), which is real and
 even, hence conjugate symmetric.
 
-Propagation uses the length gauge H(t) = H + alpha E(t) X1, which keeps the
-velocity operator i[H, X1] time independent.  Each step conjugates the state
-by the exact exponential of the midpoint Hamiltonian, so the evolution is
-unitary to machine precision and trace / spectrum drift is the honest error
-signal.
+Propagation drives one pipeline realization (ensemble.Realization) on its
+lattice: the equilibrium state f(H) is built from the realization's own
+eigensystem, so the time-domain oracle adds no eigensolve of H.  It uses the
+length gauge H(t) = H + alpha E(t) X1, which keeps the velocity operator
+i[H, X1] time independent.  Each step conjugates the state by the exact
+exponential of the midpoint Hamiltonian, so the evolution is unitary to
+machine precision and trace / spectrum drift is the honest error signal.
+The one step knob is dt; it defaults to DT_SCALE / max|E|, and the pulse
+window leaves TAIL_FRACTION of the envelope outside.
 
 The field is known in advance, so the midpoint Hamiltonians of a block of
 steps are diagonalized by one stacked eigh.  An alpha ladder shares the
@@ -26,7 +30,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .conductivity import MeasureHistogram
+from .lattice import LatticeSpec, position_values
+from .spectral import build_hamiltonian
+from .thermo import fermi
 
+DT_SCALE = 0.05  # default step, as a fraction of 1 / max|E|
+TAIL_FRACTION = 1e-13  # envelope tail mass left outside the pulse window
 TRACE_DRIFT_TOL = 1e-10
 SPECTRUM_DRIFT_TOL = 1e-8
 FIT_TOL = 0.05  # alpha-ladder fit residual, relative to the data scale
@@ -63,11 +72,11 @@ class FieldPulse:
                    + np.exp(-s2 * (nu + self.carrier) ** 2 / 2.0))
         return out if out.ndim else float(out)
 
-    def time_window(self, tail_fraction: float = 1e-13) -> float:
-        """Half-window t_max with envelope tail mass below tail_fraction of the total."""
+    def time_window(self) -> float:
+        """Half-window t_max with envelope tail mass below TAIL_FRACTION of the total."""
         from scipy.special import erfcinv  # slow to import, and needed only here
 
-        return float(np.sqrt(2.0) * self.width * erfcinv(tail_fraction))
+        return float(np.sqrt(2.0) * self.width * erfcinv(TAIL_FRACTION))
 
 
 @dataclass
@@ -104,58 +113,50 @@ class ResponseTrace:
             for k in range(len(self.alpha)))
 
 
-def _position_diagonal(position: np.ndarray) -> np.ndarray:
-    position = np.asarray(position)
-    if position.ndim == 1:
-        return position.astype(float)
-    off = position - np.diag(np.diagonal(position))
-    if np.abs(off).max(initial=0.0) > 0.0:
-        raise ValueError("position operator must be diagonal in the site basis")
-    return np.diagonal(position).astype(float).copy()
+def propagate_liouville(lattice: LatticeSpec, realization, pulse: FieldPulse, alpha, p,
+                        dt: float | None = None) -> ResponseTrace:
+    """Evolve rho from the equilibrium state of a realization under H + alpha E(t) X1.
 
-
-def propagate_liouville(hamiltonian: np.ndarray, position: np.ndarray,
-                        pulse: FieldPulse, alpha, p,
-                        dt: float | None = None, dt_scale: float = 0.05,
-                        t_max: float | None = None,
-                        tail_fraction: float = 1e-13) -> ResponseTrace:
-    """Evolve rho from the equilibrium state under H + alpha E(t) X1.
-
-    Starts at rho(-t_max) = f(H), steps with U = exp(-i dt H(t + dt/2)), and
-    records J(t) = -Tr(rho v)/|Lambda| with v = i[H, X1] plus the
-    instantaneous energy Tr(H(t) rho)/|Lambda|.  The step defaults to
-    dt_scale / ||H||.  Needs an open box: X1 is passed in as a diagonal
-    (or diagonal matrix), which only exists under dirichlet boundary.
+    realization is the pipeline record (ensemble.Realization): H is rebuilt
+    from its potential for the midpoint matrices, and the starting state
+    f(H) comes from its eigensystem, so H is not diagonalized again.  Starts
+    at rho(-t_max) = f(H) with t_max = pulse.time_window(), steps with
+    U = exp(-i dt H(t + dt/2)), and records J(t) = -Tr(rho v)/|Lambda| with
+    v = i[H, X1] plus the instantaneous energy Tr(H(t) rho)/|Lambda|.  The
+    step defaults to DT_SCALE / ||H||.  Needs an open box: X1 is the
+    lattice's centred first coordinate, which only exists under dirichlet
+    boundary.
 
     A 1-D alpha is a ladder: every rung starts from the same f(H) and is
     advanced as one stacked state, and the returned trace carries a leading
     rung axis (see ResponseTrace.rungs).  Each rung is bit-identical to a
     scalar-alpha call.
 
-    Raises if the conserved trace or the spectrum of rho drift beyond
-    tolerance on any rung; the drift is part of the message.
+    Raises ValueError if the record's eigenbasis does not fit the lattice,
+    and RuntimeError if the conserved trace or the spectrum of rho drift
+    beyond tolerance on any rung; the drift is part of the message.
     """
-    from .thermo import fermi  # local import keeps module load order flat
-
     ladder = np.asarray(alpha, dtype=float)
     if ladder.ndim > 1 or ladder.size == 0:
         raise ValueError(f"alpha must be a scalar or a nonempty 1-D ladder, "
                          f"got shape {ladder.shape}")
     rungs = np.atleast_1d(ladder)
     m = len(rungs)
-    h = np.asarray(hamiltonian, dtype=float)
-    n = h.shape[0]
-    x1 = _position_diagonal(position)
+    n = lattice.site_count
+    energies, basis = realization.spectral.energies, realization.spectral.vectors
+    if basis.shape != (n, n):
+        raise ValueError(f"eigenbasis shape {basis.shape} does not match the "
+                         f"lattice's {n} sites")
+    h = build_hamiltonian(lattice, realization.potential)
+    x1 = position_values(lattice)
     velocity = 1j * (h * x1[None, :] - x1[:, None] * h)
 
-    energies, basis = np.linalg.eigh(h)
     occupations = fermi(energies, p)
     rho = np.repeat(((basis * occupations) @ basis.T).astype(complex)[None], m, axis=0)
 
-    if t_max is None:
-        t_max = pulse.time_window(tail_fraction)
+    t_max = pulse.time_window()
     if dt is None:
-        dt = dt_scale / max(np.abs(energies).max(), 1e-12)
+        dt = DT_SCALE / max(np.abs(energies).max(), 1e-12)
     n_steps = max(int(np.ceil(2.0 * t_max / dt)), 1)
     dt = 2.0 * t_max / n_steps
     times = -t_max + dt * np.arange(n_steps + 1)
@@ -228,8 +229,7 @@ class EnergyRoutes:
         return self.w_current - self.w_energy
 
 
-def absorbed_energy_td(trace: ResponseTrace, pulse: FieldPulse | None = None,
-                       alpha: float | None = None) -> EnergyRoutes:
+def absorbed_energy_td(trace: ResponseTrace) -> EnergyRoutes:
     """Time-domain absorbed energy both ways; the two agree up to step error.
 
     W_current integrates alpha E(t) J(t) by trapezoid on the stored grid;
@@ -237,12 +237,6 @@ def absorbed_energy_td(trace: ResponseTrace, pulse: FieldPulse | None = None,
     """
     if np.ndim(trace.alpha):
         raise ValueError("ladder trace: pass one of its rungs()")
-    if alpha is not None and alpha != trace.alpha:
-        raise ValueError(f"trace was run at alpha={trace.alpha}, not {alpha}")
-    if pulse is not None:
-        expected = pulse.field(trace.times)
-        if not np.array_equal(expected, trace.field):
-            raise ValueError("trace field samples do not match the supplied pulse")
     w_current = float(np.trapezoid(trace.alpha * trace.field * trace.current, trace.times))
     w_energy = float(trace.energy[-1] - trace.energy[0])
     return EnergyRoutes(w_current=w_current, w_energy=w_energy)
@@ -264,9 +258,8 @@ class ExtractionResult:
         return float(self.ratios[-1])
 
 
-def linear_response_extract(hamiltonian: np.ndarray, position: np.ndarray,
-                            pulse: FieldPulse, p, alphas,
-                            **propagate_kwargs) -> ExtractionResult:
+def linear_response_extract(lattice: LatticeSpec, realization, pulse: FieldPulse, p,
+                            alphas, dt: float | None = None) -> ExtractionResult:
     """Fit W(alpha)/alpha^2 = W_lin + c alpha^2 over a decreasing alpha ladder.
 
     Odd powers are excluded from the model (quadratic leading order).  The
@@ -284,8 +277,7 @@ def linear_response_extract(hamiltonian: np.ndarray, position: np.ndarray,
         raise ValueError("alphas must be positive and strictly decreasing")
     if alphas[0] / alphas[-1] < 7.9:
         raise ValueError("alphas must span close to a decade")
-    traces = propagate_liouville(hamiltonian, position, pulse, alphas, p,
-                                 **propagate_kwargs).rungs()
+    traces = propagate_liouville(lattice, realization, pulse, alphas, p, dt=dt).rungs()
     w_values = np.array([absorbed_energy_td(trace).w_energy for trace in traces])
     y = w_values / alphas ** 2
     design = np.column_stack([np.ones_like(alphas), alphas ** 2])

@@ -79,22 +79,19 @@ def sech2(x):
     return out if out.ndim else float(out)
 
 
-def c_mu_t(p: ThermoParams, bounds: tuple[float, float], convention: int = 2) -> float:
-    """Infimum of sech^2((E - mu)/(cT)) over E in [E_- - E_+, E_+ - E_-].
+def c_mu_t(p: ThermoParams, bounds: tuple[float, float]) -> float:
+    """Infimum of sech^2((E - mu)/(2T)) over E in [E_- - E_+, E_+ - E_-].
 
     The interval is symmetric, [-D, D] with D = E_+ - E_-, so the infimum sits
-    at the endpoint farthest from mu.  convention selects the scale c of the
-    sech argument: c = 2 matches the actual minimum of 4T (-f)' over the
-    interval and is the choice under which the lower sandwich bound is sharp;
-    c = 1 evaluates the looser literal variant.
+    at the endpoint farthest from mu.  The scale 2T of the sech argument
+    matches the actual minimum of 4T (-f)' over the interval, so the lower
+    sandwich bound is sharp.
     """
     if p.temperature <= 0:
         raise ValueError("c_mu_t requires T > 0")
-    if convention not in (1, 2):
-        raise ValueError(f"convention must be 1 or 2, got {convention}")
     e_minus, e_plus = bounds
     diameter = e_plus - e_minus
     if diameter <= 0:
         raise ValueError("bounds must satisfy E_- < E_+")
     farthest = diameter + abs(p.fermi_level)
-    return sech2(farthest / (convention * p.temperature))
+    return sech2(farthest / (2.0 * p.temperature))

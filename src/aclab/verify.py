@@ -15,10 +15,10 @@ from . import conductivity as cond, ensemble
 from .config import RunConfig
 from .disorder import spectral_bounds
 from .ensemble import Realization, realization_pair_spectrum
-from .lattice import DIRICHLET, PERIODIC, build_position, build_velocity
+from .lattice import DIRICHLET, PERIODIC, build_velocity, position_values
 from .response import ExtractionResult, absorbed_energy_lr, absorbed_energy_td, \
     linear_response_extract, propagate_liouville
-from .spectral import build_hamiltonian, dos_histogram, energy_bins, wegner_check
+from .spectral import dos_histogram, energy_bins, wegner_check
 from .thermo import ThermoParams, pair_weight
 
 
@@ -95,17 +95,14 @@ def absorption_oracle(config: RunConfig,
                       realization: Realization) -> tuple[ExtractionResult, float]:
     """Time-domain alpha-ladder intercept W_lin and the measure-route W_lr.
 
-    Both come from the same realization: the ladder propagates its
-    Hamiltonian under the configured pulse, and W_lr integrates its
+    Both come from the same realization record: the ladder drives it under
+    the configured pulse from its own eigensystem, and W_lr integrates its
     conductivity measure on a fine grid against |Ehat|^2.
     """
     lattice = config.lattice
-    dynamics = config.dynamics
-    h = build_hamiltonian(lattice, realization.potential)
     extraction = linear_response_extract(
-        h, build_position(lattice), config.pulse, config.thermo, dynamics.alphas,
-        dt=dynamics.dt, dt_scale=dynamics.dt_scale,
-        tail_fraction=dynamics.tail_fraction)
+        lattice, realization, config.pulse, config.thermo, config.dynamics.alphas,
+        dt=config.dynamics.dt)
     ps = realization.pairs
     fine = cond.frequency_bins(ps.bounds, lattice.site_count, bins_per_side=4096)
     sigma = cond.conductivity_measure(ps, config.thermo, fine)
@@ -117,7 +114,7 @@ def check_velocity_position(ctx: _Context) -> CheckResult:
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "position operator needs dirichlet boundary")
     data = ctx.records[0].spectral
-    x1 = build_position(ctx.lattice)
+    x1 = np.diag(position_values(ctx.lattice))
     d_eig = data.vectors.conj().T @ ctx.velocity @ data.vectors
     x_eig = data.vectors.conj().T @ x1 @ data.vectors
     gaps = data.energies[:, None] - data.energies[None, :]
@@ -218,7 +215,7 @@ def check_sandwich(ctx: _Context, n: int = 32) -> CheckResult:
         for t_value, mu in grid:
             p = ThermoParams(temperature=t_value, fermi_level=mu)
             sigma = cond.conductivity_measure(ps, p, ctx.bin_edges)
-            report = cond.sandwich_check(sigma, upsilon, p, ctx.bounds, convention=2)
+            report = cond.sandwich_check(sigma, upsilon, p, ctx.bounds)
             violations += report.violations
             worst = min(worst, report.worst_lower, report.worst_upper)
     return _result(name, violations == 0, worst,
@@ -279,11 +276,9 @@ def check_energy_routes(ctx: _Context) -> CheckResult:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
-    h = build_hamiltonian(ctx.lattice, ctx.records[0].potential)
-    x1 = build_position(ctx.lattice)
-    dt = ctx.config.dynamics.route_check_dt or 2.5e-4
-    trace = propagate_liouville(h, x1, ctx.config.pulse, 0.05, ctx.thermo, dt=dt,
-                                tail_fraction=ctx.config.dynamics.tail_fraction)
+    dt = ctx.config.dynamics.route_check_dt
+    trace = propagate_liouville(ctx.lattice, ctx.records[0], ctx.config.pulse, 0.05,
+                                ctx.thermo, dt=dt)
     routes = absorbed_energy_td(trace)
     rel = abs(routes.gap) / max(abs(routes.w_energy), 1e-300)
     tol = 1e-8

@@ -13,7 +13,6 @@ from aclab import (
     ThermoParams,
     absorbed_energy_lr,
     absorbed_energy_td,
-    build_position,
     build_velocity,
     conductivity_measure,
     convolution_check,
@@ -24,10 +23,10 @@ from aclab import (
     frequency_bins,
     linear_response_extract,
     pair_spectrum,
+    position_values,
     propagate_liouville,
     psi_diagonal,
     realization_pair_spectrum,
-    sample_potential,
     sandwich_check,
     spectral_bounds,
     sum_rule_mass,
@@ -35,7 +34,6 @@ from aclab import (
     upsilon_measure,
     wegner_check,
 )
-from aclab.spectral import build_hamiltonian
 
 from conftest import MASTER_SEED, make_pair_spectrum, plane_wave_atom
 
@@ -79,7 +77,7 @@ def test_criterion_1_exact_identities():
 
     open_box = LatticeSpec(1, 16, "dirichlet")
     velocity = build_velocity(open_box)
-    x1 = build_position(open_box)
+    x1 = np.diag(position_values(open_box))
     vp_defect = 0.0
     for index in range(5):
         data, _ = make_pair_spectrum(open_box, disorder, index)
@@ -115,7 +113,7 @@ def test_criterion_2_per_realization_inequalities():
             p = ThermoParams(t_value, mu)
             sigma = conductivity_measure(ps, p, edges)
             min_mass = min(min_mass, sigma.bin_mass.min(), sigma.atom_at_zero)
-            report = sandwich_check(sigma, upsilon, p, ps.bounds, convention=2)
+            report = sandwich_check(sigma, upsilon, p, ps.bounds)
             violations += report.violations
             envelope = (np.pi / (4 * t_value)
                         * (upsilon.total() + psi_total))
@@ -239,20 +237,17 @@ def test_criterion_9_energy_absorption_oracle():
     disorder = DisorderSpec(strength=1.0, seed=SEED)
     p = ThermoParams(1.0, 0.0)
     spec = disorder.with_index(0)
-    potential = sample_potential(spec, lattice)
-    h = build_hamiltonian(lattice, potential)
-    x1 = build_position(lattice)
+    record = realization_pair_spectrum(lattice, spec)
     bounds = spectral_bounds(spec, lattice)
     pulse = FieldPulse(amplitude=1.0, width=8.0, carrier=2.0)
 
-    trace = propagate_liouville(h, x1, pulse, 0.05, p, dt=2.5e-4)
+    trace = propagate_liouville(lattice, record, pulse, 0.05, p, dt=2.5e-4)
     routes = absorbed_energy_td(trace)
     route_rel = abs(routes.gap) / abs(routes.w_energy)
 
-    extraction = linear_response_extract(h, x1, pulse, p,
+    extraction = linear_response_extract(lattice, record, pulse, p,
                                          [0.2, 0.1, 0.05, 0.025], dt=5e-3)
-    data = eigendecompose(lattice, potential, bounds=bounds)
-    ps = pair_spectrum(data, lattice)
+    ps = record.pairs
     fine = frequency_bins(bounds, lattice.site_count, bins_per_side=4096)
     sigma = conductivity_measure(ps, p, fine)
     w_lr = absorbed_energy_lr(sigma, pulse)
@@ -261,7 +256,7 @@ def test_criterion_9_energy_absorption_oracle():
 
     off_pulse = FieldPulse(amplitude=1.0, width=2.0, carrier=12.0)
     w_lr_off = absorbed_energy_lr(sigma, off_pulse)
-    off_extraction = linear_response_extract(h, x1, off_pulse, p,
+    off_extraction = linear_response_extract(lattice, record, off_pulse, p,
                                              [0.2, 0.1, 0.05, 0.025], dt=5e-3)
 
     ok = (oracle_rel <= 0.05 and route_rel <= 1e-8

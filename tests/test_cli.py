@@ -19,12 +19,12 @@ from aclab.verify import run_verify
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Count the matrices numpy.linalg.eigh diagonalizes while the test runs."""
+    """The shape of every array numpy.linalg.eigh diagonalizes while the test runs."""
     calls = []
     original = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        calls.append(math.prod(np.shape(a)[:-2]))
+        calls.append(np.shape(a))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -79,6 +79,11 @@ class TestConfig:
         payload["lattice"]["sites"] = 4
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="lattice.sites"):
+            load(path)
+
+    def test_null_route_check_dt_names_field(self, tmp_path):
+        path, _ = small_config(tmp_path, dynamics={"route_check_dt": None})
+        with pytest.raises(ConfigError, match="dynamics.route_check_dt"):
             load(path)
 
     def test_invalid_value_names_field(self):
@@ -212,8 +217,8 @@ class TestAbsorbCommand:
         assert abs(report["w_lin"]) < 1e-6
 
     def test_one_eigensolve_plus_one_ladder(self, tmp_path, eigh_calls):
-        # one eigensolve for the realization, one for the equilibrium state the
-        # ladder shares, then one per propagation step for each alpha
+        # one eigensolve for the realization, whose eigensystem also gives the
+        # ladder its equilibrium state, then one per propagation step per alpha
         alphas = [0.2, 0.1, 0.05, 0.025]
         path, _ = small_config(
             tmp_path,
@@ -225,7 +230,8 @@ class TestAbsorbCommand:
         )
         assert main(["absorb", "--config", str(path)]) == 0
         rows = len((tmp_path / "out" / "trace.csv").read_text().splitlines()) - 1
-        assert sum(eigh_calls) == 2 + len(alphas) * (rows - 1)
+        matrices = sum(math.prod(shape[:-2]) for shape in eigh_calls)
+        assert matrices == 1 + len(alphas) * (rows - 1)
 
     def test_propagation_block_recorded(self, tmp_path):
         alphas = [0.2, 0.1, 0.05, 0.025]
@@ -282,7 +288,24 @@ class TestVerifyCommand:
             "dimension": 1, "linear_size": 16, "boundary": "periodic"},
             ensemble={"realizations": 12})
         assert main(["verify", "--config", str(path)]) == 0
-        assert sum(eigh_calls) == 12
+        assert sum(math.prod(shape[:-2]) for shape in eigh_calls) == 12
+
+    def test_driven_realization_is_not_diagonalized_again(self, tmp_path, eigh_calls):
+        # energy_routes and oracle_energy drive realization 0 from its own
+        # record; a coarse route step keeps the run short, and only the
+        # eigensolves are counted, not the check statuses
+        path, _ = small_config(
+            tmp_path,
+            lattice={"dimension": 1, "linear_size": 6, "boundary": "dirichlet"},
+            ensemble={"realizations": 3},
+            pulse={"amplitude": 1.0, "width": 4.0, "carrier": 2.0},
+            dynamics={"dt": 0.02, "route_check_dt": 0.02},
+        )
+        assert main(["verify", "--config", str(path)]) in (0, 1)
+        report = json.loads((tmp_path / "out" / "verify.json").read_text())["report"]
+        ran = {c["name"] for c in report["checks"] if c["status"] != "skipped"}
+        assert {"energy_routes", "oracle_energy"} <= ran
+        assert sum(1 for shape in eigh_calls if len(shape) == 2) == 3
 
     def test_eigensolve_provenance_is_the_worst_realization(self, tmp_path):
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})

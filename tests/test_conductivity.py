@@ -384,7 +384,7 @@ class TestSandwich:
         gamma_total = sigma.binned_total()
         assert gamma_total == pytest.approx(np.pi / 2 * np.tanh(0.5), abs=1e-12)
         assert gamma_total <= np.pi / 4 + 1e-12
-        report = sandwich_check(sigma, upsilon, p, ps.bounds, convention=2)
+        report = sandwich_check(sigma, upsilon, p, ps.bounds)
         assert report.passed
         assert report.violations == 0
 

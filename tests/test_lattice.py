@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aclab import LatticeSpec, build_laplacian, build_position, build_velocity
+from aclab import LatticeSpec, build_laplacian, build_velocity, position_values
 from aclab.lattice import plane_wave_energies
 
 
@@ -72,13 +72,13 @@ def test_velocity_independent_of_potential():
 
 
 def test_position_two_site_centering():
-    pos = build_position(LatticeSpec(1, 2, "dirichlet"))
-    assert np.array_equal(np.diag(pos), [-0.5, 0.5])
+    pos = position_values(LatticeSpec(1, 2, "dirichlet"))
+    assert np.array_equal(pos, [-0.5, 0.5])
 
 
 def test_position_rejects_periodic():
     with pytest.raises(ValueError, match="dirichlet"):
-        build_position(LatticeSpec(1, 4, "periodic"))
+        position_values(LatticeSpec(1, 4, "periodic"))
 
 
 def test_velocity_is_commutator_on_open_box():
@@ -86,7 +86,7 @@ def test_velocity_is_commutator_on_open_box():
     for d, L in ((1, 6), (2, 4)):
         spec = LatticeSpec(d, L, "dirichlet")
         h = build_laplacian(spec) + np.diag(rng.uniform(-1, 1, spec.site_count))
-        x1 = build_position(spec)
+        x1 = np.diag(position_values(spec))
         commutator = 1j * (h @ x1 - x1 @ h)
         assert np.allclose(commutator, build_velocity(spec), atol=1e-14)
 

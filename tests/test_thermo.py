@@ -130,8 +130,8 @@ def test_pair_weight_equals_quadrature_of_step_weights():
 
 def test_c_mu_t_endpoint_value():
     p = ThermoParams(4.0, 0.0)
-    value = c_mu_t(p, (-2.0, 2.0), convention=1)
-    assert value == pytest.approx(1.0 / np.cosh(1.0) ** 2, rel=1e-12)
+    value = c_mu_t(p, (-2.0, 2.0))
+    assert value == pytest.approx(1.0 / np.cosh(0.5) ** 2, rel=1e-12)
 
 
 def test_c_mu_t_high_temperature_limit():
@@ -148,7 +148,7 @@ def test_c_mu_t_in_unit_interval_and_below_derivative_inf():
     # c = 2 never exceeds the actual minimum of 4T (-f)' over the bounds
     p = ThermoParams(0.8, 0.6)
     bounds = (-2.5, 3.1)
-    c2 = c_mu_t(p, bounds, convention=2)
+    c2 = c_mu_t(p, bounds)
     assert 0.0 < c2 <= 1.0
     grid = np.linspace(bounds[0], bounds[1], 2001)
     inf_scaled = (4.0 * p.temperature * fermi_derivative_neg(grid, p)).min()
@@ -158,8 +158,6 @@ def test_c_mu_t_in_unit_interval_and_below_derivative_inf():
 def test_c_mu_t_validation():
     with pytest.raises(ValueError):
         c_mu_t(ThermoParams(0.0, 0.0), (-2.0, 2.0))
-    with pytest.raises(ValueError):
-        c_mu_t(ThermoParams(1.0, 0.0), (-2.0, 2.0), convention=3)
 
 
 def test_thermo_params_validation():
