@@ -18,9 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as config_mod, io
-from .conductivity import frequency_bins
 from .config import ConfigError, RunConfig
-from .disorder import spectral_bounds
 from .ensemble import disorder_sweep, ensemble_average, realization_pair_spectrum, \
     temperature_sweep
 from .lattice import DIRICHLET
@@ -44,14 +42,15 @@ def _load_config(args) -> RunConfig:
         config = dataclasses.replace(
             config, disorder=dataclasses.replace(config.disorder, seed=args.seed))
     if args.out is not None:
-        config = dataclasses.replace(config, output_dir=str(args.out))
+        config = dataclasses.replace(config, output={"directory": str(args.out)})
     return config
 
 
 def cmd_sigma(config: RunConfig) -> int:
     result = ensemble_average(config.disorder, config.lattice, config.thermo,
-                              bin_edges=_bin_edges(config), n=config.realizations)
-    out = Path(config.output_dir)
+                              bin_edges=config.frequency_edges(),
+                              n=config.ensemble["realizations"])
+    out = Path(config.output["directory"])
     io.write_measure_csv(out / "sigma.csv", result.bin_edges,
                          result.sigma_mean, result.sigma_stderr)
     io.write_json(out / "sigma.json", io.measure_header(
@@ -67,18 +66,11 @@ def cmd_sigma(config: RunConfig) -> int:
     return 0
 
 
-def _bin_edges(config: RunConfig):
-    bounds = spectral_bounds(config.disorder, config.lattice)
-    return frequency_bins(bounds, config.lattice.site_count,
-                          bins_per_side=config.bins.frequency_bins_per_side,
-                          nu_max=config.bins.nu_max)
-
-
 def cmd_verify(config: RunConfig) -> int:
     report = run_verify(config)
     for line in report.lines():
         print(line)
-    out = Path(config.output_dir)
+    out = Path(config.output["directory"])
     io.write_json(out / "verify.json", io.measure_header(
         config.to_dict(), "verify", report=report.to_dict(),
         code_version=__version__))
@@ -86,21 +78,16 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, axis: str) -> int:
-    out = Path(config.output_dir)
+    grid = getattr(config.sweeps, axis)
+    if not grid:
+        return _fail(f"config has no sweeps.{axis} grid", field=f"sweeps.{axis}")
+    n = config.ensemble["realizations"]
     if axis == "temperature":
-        if not config.temperature_grid:
-            return _fail("config has no sweeps.temperature grid",
-                         field="sweeps.temperature")
         table = temperature_sweep(config.disorder, config.lattice,
-                                  config.thermo.fermi_level,
-                                  config.temperature_grid, n=config.realizations)
+                                  config.thermo.fermi_level, grid, n=n)
     else:
-        if not config.disorder_grid:
-            return _fail("config has no sweeps.disorder grid",
-                         field="sweeps.disorder")
-        table = disorder_sweep(config.lattice, config.thermo,
-                               config.disorder_grid, config.disorder,
-                               n=config.realizations)
+        table = disorder_sweep(config.lattice, config.thermo, grid, config.disorder, n=n)
+    out = Path(config.output["directory"])
     io.write_sweep_csv(out / f"sweep_{axis}.csv", table)
     io.write_json(out / f"sweep_{axis}.json", io.measure_header(
         config.to_dict(), f"sweep_{axis}", meta=table.meta,
@@ -135,7 +122,7 @@ def cmd_absorb(config: RunConfig) -> int:
     trace = extraction.traces[0]  # the largest alpha of the ladder
     routes = absorbed_energy_td(trace)
 
-    out = Path(config.output_dir)
+    out = Path(config.output["directory"])
     io.write_trace_csv(out / "trace.csv", trace)
     io.write_json(out / "absorb.json", io.measure_header(
         config.to_dict(), "absorb",

@@ -1,17 +1,30 @@
 """Run configuration: one strict JSON document drives every command.
 
-Unknown keys are rejected with the offending field path, since silent
-misconfiguration is the main reproducibility hazard.  A run is a pure
-function of its config; every output artifact embeds the config dict.
+A run is a pure function of its config; every output artifact embeds the
+config dict.  SECTIONS is the config's only list of keys: for each section
+it gives the type the section builds, a converter per key and the keys a
+config must give.  `from_dict` and `RunConfig.to_dict` both read it, and
+omitted keys take the defaults their type declares.  A null stands for an
+omitted key or section only where that default is None (the `bins` keys,
+`dynamics.dt` and the `pulse` section).  Anything else that is malformed
+(a section that is not an object, an unknown, missing or null key, a
+value its converter or type refuses) raises a ConfigError carrying the
+offending field path, since silent misconfiguration is the main
+reproducibility hazard.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .disorder import DisorderSpec
+import numpy as np
+
+from .conductivity import frequency_bins
+from .disorder import DisorderSpec, spectral_bounds
 from .lattice import LatticeSpec
 from .response import FieldPulse
 from .thermo import ThermoParams
@@ -42,165 +55,129 @@ class DynamicsSettings:
 
 
 @dataclass(frozen=True)
+class SweepGrids:
+    temperature: tuple = ()
+    disorder: tuple = ()
+
+
+@dataclass(frozen=True)
 class RunConfig:
     lattice: LatticeSpec
     disorder: DisorderSpec
     thermo: ThermoParams
-    realizations: int
-    output_dir: str
-    bins: BinSettings = field(default_factory=BinSettings)
+    ensemble: dict  # {"realizations": int}
+    output: dict    # {"directory": str}
+    bins: BinSettings = BinSettings()
+    sweeps: SweepGrids = SweepGrids()
     pulse: FieldPulse | None = None
-    dynamics: DynamicsSettings = field(default_factory=DynamicsSettings)
-    temperature_grid: tuple = ()
-    disorder_grid: tuple = ()
+    dynamics: DynamicsSettings = DynamicsSettings()
+
+    def frequency_edges(self) -> np.ndarray:
+        """The frequency bin edges of this config's box, disorder law and bins section."""
+        return frequency_bins(spectral_bounds(self.disorder, self.lattice),
+                              self.lattice.site_count,
+                              bins_per_side=self.bins.frequency_bins_per_side,
+                              nu_max=self.bins.nu_max)
 
     def to_dict(self) -> dict:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "lattice": {
-                "dimension": self.lattice.dimension,
-                "linear_size": self.lattice.linear_size,
-                "boundary": self.lattice.boundary,
-            },
-            "disorder": {
-                "v_minus": self.disorder.v_minus,
-                "v_plus": self.disorder.v_plus,
-                "strength": self.disorder.strength,
-                "seed": self.disorder.seed,
-                "distribution": self.disorder.distribution,
-            },
-            "thermo": {
-                "temperature": self.thermo.temperature,
-                "fermi_level": self.thermo.fermi_level,
-            },
-            "bins": {
-                "frequency_bins_per_side": self.bins.frequency_bins_per_side,
-                "nu_max": self.bins.nu_max,
-                "dos_bins": self.bins.dos_bins,
-            },
-            "ensemble": {"realizations": self.realizations},
-            "sweeps": {
-                "temperature": list(self.temperature_grid),
-                "disorder": list(self.disorder_grid),
-            },
-            "dynamics": {
-                "alphas": list(self.dynamics.alphas),
-                "dt": self.dynamics.dt,
-                "route_check_dt": self.dynamics.route_check_dt,
-            },
-            "output": {"directory": self.output_dir},
-        }
-        if self.pulse is not None:
-            payload["pulse"] = {
-                "amplitude": self.pulse.amplitude,
-                "width": self.pulse.width,
-                "carrier": self.pulse.carrier,
-            }
+        payload = {"format_version": FORMAT_VERSION}
+        for name, (_, keys, _) in SECTIONS.items():
+            section = getattr(self, name)
+            if section is None:
+                continue
+            values = section if isinstance(section, dict) else vars(section)
+            payload[name] = {key: _echo(values[key]) for key in keys}
         return payload
 
 
-def _take(section: dict, path: str, allowed: dict) -> dict:
-    """Pop known keys with defaults; reject anything unexpected."""
-    unknown = set(section) - set(allowed)
+def _integer(value) -> int:
+    """int(value), refusing booleans and fractional numbers rather than truncating them."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value) -> int:
+    count = _integer(value)
+    if count < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _echo(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+# section: (type it builds, {key: converter}, keys a config must give)
+SECTIONS = {
+    "lattice": (LatticeSpec, {"dimension": _integer, "linear_size": _integer,
+                              "boundary": str}, ("dimension", "linear_size")),
+    "disorder": (DisorderSpec, {"v_minus": float, "v_plus": float, "strength": float,
+                                "seed": _integer, "distribution": str},
+                 ("strength", "seed")),
+    "thermo": (ThermoParams, {"temperature": float, "fermi_level": float},
+               ("temperature",)),
+    "bins": (BinSettings, {"frequency_bins_per_side": _integer, "nu_max": float,
+                           "dos_bins": _integer}, ()),
+    "ensemble": (dict, {"realizations": _count}, ("realizations",)),
+    "sweeps": (SweepGrids, {"temperature": _floats, "disorder": _floats}, ()),
+    "pulse": (FieldPulse, {"amplitude": float, "width": float, "carrier": float},
+              ("amplitude", "width")),
+    "dynamics": (DynamicsSettings, {"alphas": _floats, "dt": float,
+                                    "route_check_dt": float}, ()),
+    "output": (dict, {"directory": str}, ("directory",)),
+}
+
+
+def _read(path: str, build, keys: dict, required: tuple, payload):
+    """build(**converted keys) from one JSON object; `path` prefixes every field path."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"section {path} must be a JSON object", field_path=path)
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(payload) - set(keys))
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key {path}.{name}", field_path=f"{path}.{name}")
-    return {key: section.get(key, default) for key, default in allowed.items()}
-
-
-def _require(section: dict, path: str, keys: tuple):
-    for key in keys:
-        if key not in section or section[key] is None:
-            raise ConfigError(f"missing required key {path}.{key}",
-                              field_path=f"{path}.{key}")
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}",
+                          field_path=prefix + unknown[0])
+    defaults = ({f.name: f.default for f in dataclasses.fields(build)}
+                if dataclasses.is_dataclass(build) else {})
+    kwargs = {}
+    for key, convert in keys.items():
+        field_path = prefix + key
+        if key not in payload:
+            if key in required:
+                raise ConfigError(f"missing required key {field_path}", field_path=field_path)
+            continue
+        if payload[key] is None:
+            if defaults.get(key, dataclasses.MISSING) is not None:
+                raise ConfigError(f"{field_path} may not be null", field_path=field_path)
+            continue
+        try:
+            kwargs[key] = convert(payload[key])
+        except ConfigError:  # from a section's own _read, already naming its field
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {field_path}: {exc}", field_path=field_path) from exc
+    try:
+        return build(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {path}: {exc}", field_path=path) from exc
 
 
 def from_dict(payload: dict) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    top = _take(payload, "config", {
-        "format_version": FORMAT_VERSION,
-        "lattice": None, "disorder": None, "thermo": None, "bins": {},
-        "ensemble": None, "sweeps": {}, "pulse": None, "dynamics": {},
-        "output": None,
-    })
-    if top["format_version"] != FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported format_version {top['format_version']}",
-            field_path="format_version",
-        )
-    for name in ("lattice", "disorder", "thermo", "ensemble", "output"):
-        if top[name] is None:
-            raise ConfigError(f"missing required section {name!r}", field_path=name)
-
-    lat = _take(top["lattice"], "lattice",
-                {"dimension": None, "linear_size": None, "boundary": "periodic"})
-    _require(lat, "lattice", ("dimension", "linear_size"))
-    dis = _take(top["disorder"], "disorder",
-                {"v_minus": -1.0, "v_plus": 1.0, "strength": None, "seed": None,
-                 "distribution": "uniform"})
-    _require(dis, "disorder", ("strength", "seed"))
-    thermo = _take(top["thermo"], "thermo",
-                   {"temperature": None, "fermi_level": 0.0})
-    _require(thermo, "thermo", ("temperature",))
-    bins = _take(top["bins"], "bins",
-                 {"frequency_bins_per_side": None, "nu_max": None, "dos_bins": None})
-    ens = _take(top["ensemble"], "ensemble", {"realizations": None})
-    _require(ens, "ensemble", ("realizations",))
-    sweeps = _take(top["sweeps"], "sweeps", {"temperature": [], "disorder": []})
-    dyn = _take(top["dynamics"], "dynamics", asdict(DynamicsSettings()))
-    _require(dyn, "dynamics", ("route_check_dt",))
-    out = _take(top["output"], "output", {"directory": None})
-    _require(out, "output", ("directory",))
-
-    def build(cls, path, **kwargs):
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {path}: {exc}", field_path=path) from exc
-
-    pulse = None
-    if top["pulse"] is not None:
-        pls = _take(top["pulse"], "pulse",
-                    {"amplitude": None, "width": None, "carrier": 0.0})
-        _require(pls, "pulse", ("amplitude", "width"))
-        pulse = build(FieldPulse, "pulse",
-                      amplitude=float(pls["amplitude"]), width=float(pls["width"]),
-                      carrier=float(pls["carrier"]))
-
-    config = RunConfig(
-        lattice=build(LatticeSpec, "lattice",
-                      dimension=int(lat["dimension"]),
-                      linear_size=int(lat["linear_size"]),
-                      boundary=str(lat["boundary"])),
-        disorder=build(DisorderSpec, "disorder",
-                       v_minus=float(dis["v_minus"]), v_plus=float(dis["v_plus"]),
-                       strength=float(dis["strength"]), seed=int(dis["seed"]),
-                       distribution=str(dis["distribution"])),
-        thermo=build(ThermoParams, "thermo",
-                     temperature=float(thermo["temperature"]),
-                     fermi_level=float(thermo["fermi_level"])),
-        realizations=int(ens["realizations"]),
-        output_dir=str(out["directory"]),
-        bins=BinSettings(
-            frequency_bins_per_side=(None if bins["frequency_bins_per_side"] is None
-                                     else int(bins["frequency_bins_per_side"])),
-            nu_max=None if bins["nu_max"] is None else float(bins["nu_max"]),
-            dos_bins=None if bins["dos_bins"] is None else int(bins["dos_bins"]),
-        ),
-        pulse=pulse,
-        dynamics=DynamicsSettings(
-            alphas=tuple(float(a) for a in dyn["alphas"]),
-            dt=None if dyn["dt"] is None else float(dyn["dt"]),
-            route_check_dt=float(dyn["route_check_dt"]),
-        ),
-        temperature_grid=tuple(float(t) for t in sweeps["temperature"]),
-        disorder_grid=tuple(float(v) for v in sweeps["disorder"]),
-    )
-    if config.realizations < 1:
-        raise ConfigError("ensemble.realizations must be >= 1",
-                          field_path="ensemble.realizations")
-    return config
+    version = payload.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported format_version {version}",
+                          field_path="format_version")
+    sections = {k: v for k, v in payload.items() if k != "format_version"}
+    readers = {name: partial(_read, name, *section) for name, section in SECTIONS.items()}
+    return _read("", RunConfig, readers,
+                 ("lattice", "disorder", "thermo", "ensemble", "output"), sections)
 
 
 def load(path) -> RunConfig:

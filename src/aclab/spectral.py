@@ -72,14 +72,6 @@ def build_hamiltonian(lattice: LatticeSpec, potential: np.ndarray) -> np.ndarray
     return h
 
 
-def _fix_eigenvector_signs(vectors: np.ndarray) -> None:
-    """Deterministic gauge, in place: first component of magnitude > 1e-8 * colmax made positive."""
-    mags = np.abs(vectors)
-    significant = mags > 1e-8 * mags.max(axis=0, keepdims=True)
-    first = significant.argmax(axis=0)
-    vectors *= np.sign(vectors[first, np.arange(vectors.shape[1])])
-
-
 def _stencil_residual(lattice: LatticeSpec, potential: np.ndarray,
                       vectors: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """H Q - Q Lambda from the nearest-neighbour stencil, without forming H.
@@ -107,13 +99,15 @@ def _stencil_residual(lattice: LatticeSpec, potential: np.ndarray,
 
 def eigendecompose(lattice: LatticeSpec, potential: np.ndarray,
                    bounds: tuple[float, float] | None = None) -> SpectralData:
-    """Full dense eigensystem of H = kinetic + diag(potential), ascending, in a fixed sign gauge.
+    """Full dense eigensystem of H = kinetic + diag(potential), ascending.
 
     H is built, solved and dropped; the solve is checked against the lattice
     stencil rather than a dense H @ Q.  Raises on a non-finite potential, on
     eigensolver failure, on residual or orthonormality above RESIDUAL_TOL
     relative, and on energies escaping the supplied deterministic bounds.
     The observed residual and orthonormality defect are kept on the record.
+    Column signs are left as eigh returns them: every consumer (|Q^T hop|^2,
+    Q f Q^T, the residual, the Gram defect) is unchanged by negating a column.
     """
     potential = np.asarray(potential, dtype=float)
     h = build_hamiltonian(lattice, potential)
@@ -125,7 +119,6 @@ def eigendecompose(lattice: LatticeSpec, potential: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     del h
-    _fix_eigenvector_signs(vectors)
     r = _stencil_residual(lattice, potential, vectors, energies)
     residual = float(np.abs(r, out=r).max())
     if not residual <= RESIDUAL_TOL * scale:  # NaN fails too

@@ -73,14 +73,11 @@ class _Context:
         self.disorder = config.disorder
         self.thermo = config.thermo
         self.bounds = spectral_bounds(self.disorder, self.lattice)
-        self.bin_edges = cond.frequency_bins(
-            self.bounds, self.lattice.site_count,
-            bins_per_side=config.bins.frequency_bins_per_side,
-            nu_max=config.bins.nu_max)
+        self.bin_edges = config.frequency_edges()
         self.velocity = build_velocity(self.lattice)  # the dense route of two checks
         self.records = ensemble._map_indices(
             lambda i: realization_pair_spectrum(self.lattice, self.disorder.with_index(i)),
-            config.realizations, 1)
+            config.ensemble["realizations"], 1)
         self.spectra = [r.pairs for r in self.records]
         self._sigmas = []
 
@@ -303,7 +300,7 @@ def check_oracle_energy(ctx: _Context) -> CheckResult:
 
 def run_verify(config: RunConfig) -> VerifyReport:
     ctx = _Context(config)
-    n = config.realizations
+    n = config.ensemble["realizations"]
     small = min(n, 8)
     medium = min(n, 32)
     checks = [

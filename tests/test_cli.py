@@ -73,6 +73,46 @@ def small_config(tmp_path, **overrides):
     return path, payload
 
 
+# (field path, value): each makes the config invalid at exactly that field
+MALFORMED = [
+    ("dynamics.route_check_dt", None),
+    ("thermo.fermi_level", None),
+    ("disorder.v_minus", None),
+    ("disorder.v_plus", None),
+    ("disorder.distribution", None),
+    ("lattice.boundary", None),
+    ("pulse.carrier", None),
+    ("sweeps.temperature", None),
+    ("sweeps.disorder", None),
+    ("dynamics.alphas", None),
+    ("dynamics.alphas", 0.1),
+    ("bins", None),
+    ("lattice", 5),
+    ("lattice.dimension", [1]),
+    ("ensemble.realizations", "many"),
+    ("lattice.linear_size", 12.7),
+    ("lattice.dimension", True),
+    ("disorder.seed", 7.5),
+    ("ensemble.realizations", True),
+    ("bins.frequency_bins_per_side", 40.5),
+    ("bins.dos_bins", False),
+]
+
+FULL_CONFIG = {
+    "format_version": 1,
+    "lattice": {"dimension": 2, "linear_size": 4, "boundary": "dirichlet"},
+    "disorder": {"v_minus": -0.5, "v_plus": 1.5, "strength": 2.0, "seed": 17,
+                 "distribution": "uniform"},
+    "thermo": {"temperature": 0.5, "fermi_level": 0.3},
+    "bins": {"frequency_bins_per_side": 40, "nu_max": 3.0, "dos_bins": 24},
+    "ensemble": {"realizations": 3},
+    "sweeps": {"temperature": [0.5, 1.0], "disorder": [0.1, 0.2]},
+    "pulse": {"amplitude": 0.5, "width": 3.0, "carrier": 1.5},
+    "dynamics": {"alphas": [0.3, 0.15], "dt": 0.01, "route_check_dt": 0.001},
+    "output": {"directory": "elsewhere"},
+}
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path, payload = small_config(tmp_path)
@@ -81,10 +121,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lattice.sites"):
             load(path)
 
-    def test_null_route_check_dt_names_field(self, tmp_path):
-        path, _ = small_config(tmp_path, dynamics={"route_check_dt": None})
-        with pytest.raises(ConfigError, match="dynamics.route_check_dt"):
-            load(path)
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}={json.dumps(value)}")
+        for field, value in MALFORMED])
+    def test_malformed_value_exits_2_naming_field(self, tmp_path, capsys, field, value):
+        path, payload = small_config(tmp_path, pulse={"amplitude": 1.0, "width": 2.0})
+        section, _, key = field.partition(".")
+        if key:
+            payload.setdefault(section, {})[key] = value
+        else:
+            payload[section] = value
+        path.write_text(json.dumps(payload))
+        assert main(["sigma", "--config", str(path)]) == 2
+        message = json.loads(capsys.readouterr().out)
+        assert message["status"] == "error"
+        assert message["field"] == field
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        path, _ = small_config(tmp_path, lattice={"dimension": 1.0, "linear_size": 12.0})
+        lattice = load(path).lattice
+        assert (lattice.dimension, lattice.linear_size) == (1, 12)
+        assert type(lattice.linear_size) is int
 
     def test_invalid_value_names_field(self):
         with pytest.raises(ConfigError, match="linear_size"):
@@ -110,6 +167,9 @@ class TestConfig:
         config = load(path)
         again = from_dict(config.to_dict())
         assert again == config
+        # every key set away from its default (the only distribution is "uniform")
+        assert from_dict(FULL_CONFIG).to_dict() == FULL_CONFIG
+        assert from_dict(from_dict(FULL_CONFIG).to_dict()) == from_dict(FULL_CONFIG)
 
 
 class TestSigmaCommand:
