@@ -84,9 +84,14 @@ def cmd_sweep(config: RunConfig, axis: str) -> int:
     n = config.ensemble["realizations"]
     if axis == "temperature":
         table = temperature_sweep(config.disorder, config.lattice,
-                                  config.thermo.fermi_level, grid, n=n)
+                                  config.thermo.fermi_level, grid,
+                                  bin_edges=config.frequency_edges(), n=n)
     else:
-        table = disorder_sweep(config.lattice, config.thermo, grid, config.disorder, n=n)
+        # one grid for every strength: the bounds of the largest one
+        widest = dataclasses.replace(
+            config, disorder=config.disorder.with_strength(max(grid)))
+        table = disorder_sweep(config.lattice, config.thermo, grid, config.disorder,
+                               bin_edges=widest.frequency_edges(), n=n)
     out = Path(config.output["directory"])
     io.write_sweep_csv(out / f"sweep_{axis}.csv", table)
     io.write_json(out / f"sweep_{axis}.json", io.measure_header(

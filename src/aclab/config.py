@@ -104,8 +104,18 @@ def _count(value) -> int:
     return count
 
 
+def _number(value) -> float:
+    """float(value) of a JSON number, refusing booleans and strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    """A JSON array of numbers as a tuple of floats."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected an array of numbers, got {values!r}")
+    return tuple(_number(v) for v in values)
 
 
 def _echo(value):
@@ -116,19 +126,19 @@ def _echo(value):
 SECTIONS = {
     "lattice": (LatticeSpec, {"dimension": _integer, "linear_size": _integer,
                               "boundary": str}, ("dimension", "linear_size")),
-    "disorder": (DisorderSpec, {"v_minus": float, "v_plus": float, "strength": float,
+    "disorder": (DisorderSpec, {"v_minus": _number, "v_plus": _number, "strength": _number,
                                 "seed": _integer, "distribution": str},
                  ("strength", "seed")),
-    "thermo": (ThermoParams, {"temperature": float, "fermi_level": float},
+    "thermo": (ThermoParams, {"temperature": _number, "fermi_level": _number},
                ("temperature",)),
-    "bins": (BinSettings, {"frequency_bins_per_side": _integer, "nu_max": float,
+    "bins": (BinSettings, {"frequency_bins_per_side": _integer, "nu_max": _number,
                            "dos_bins": _integer}, ()),
     "ensemble": (dict, {"realizations": _count}, ("realizations",)),
     "sweeps": (SweepGrids, {"temperature": _floats, "disorder": _floats}, ()),
-    "pulse": (FieldPulse, {"amplitude": float, "width": float, "carrier": float},
+    "pulse": (FieldPulse, {"amplitude": _number, "width": _number, "carrier": _number},
               ("amplitude", "width")),
-    "dynamics": (DynamicsSettings, {"alphas": _floats, "dt": float,
-                                    "route_check_dt": float}, ()),
+    "dynamics": (DynamicsSettings, {"alphas": _floats, "dt": _number,
+                                    "route_check_dt": _number}, ()),
     "output": (dict, {"directory": str}, ("directory",)),
 }
 

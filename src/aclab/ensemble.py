@@ -50,10 +50,9 @@ class Realization:
 
 @dataclass(frozen=True)
 class RealizationMeasures:
-    """Per-realization frequency measures plus their scalar summaries."""
+    """Per-realization conductivity measure plus its scalar summaries."""
 
     sigma: MeasureHistogram
-    upsilon: MeasureHistogram
     scalars: dict
 
 
@@ -67,7 +66,6 @@ class EnsembleResult:
     sigma_stderr: np.ndarray
     atom_mean: float
     atom_stderr: float
-    upsilon_mean: np.ndarray
     scalars: dict  # name -> (mean, stderr)
 
 
@@ -98,19 +96,18 @@ def realization_pair_spectrum(lattice: LatticeSpec, spec: DisorderSpec) -> Reali
 
 def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray) -> RealizationMeasures:
     sigma = conductivity_measure(ps, p, bin_edges)
-    upsilon = upsilon_measure(ps, bin_edges)
     near = sigma.near_zero_mass()
     total = sigma.total()
     scalars = {
         "sigma_total": total,
         "atom_mass": sigma.atom_at_zero,
         "gamma_mass": sigma.binned_total(),
-        "upsilon_total": upsilon.total(),
+        "upsilon_total": upsilon_measure(ps, bin_edges).total(),
         "psi_total": psi_diagonal(ps).total(),
         "near_zero_mass": near,
         "near_zero_fraction": near / total if total > 0 else 0.0,
     }
-    return RealizationMeasures(sigma=sigma, upsilon=upsilon, scalars=scalars)
+    return RealizationMeasures(sigma=sigma, scalars=scalars)
 
 
 # threads is ignored; perfbench/layers.py wraps this function by name with three arguments.
@@ -158,7 +155,6 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
                             lambda ps: _measures_for(ps, p, bin_edges))
     sigma_stack = np.array([r.sigma.bin_mass for r in results])
     atom_stack = np.array([r.sigma.atom_at_zero for r in results])
-    upsilon_stack = np.array([r.upsilon.bin_mass for r in results])
     sigma_mean, sigma_stderr = _mean_stderr(sigma_stack)
     atom_mean, atom_stderr = _mean_stderr(atom_stack)
     return EnsembleResult(
@@ -168,7 +164,6 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
         sigma_stderr=sigma_stderr,
         atom_mean=float(atom_mean),
         atom_stderr=float(atom_stderr),
-        upsilon_mean=upsilon_stack.mean(axis=0),
         scalars=_scalar_summary(results),
     )
 

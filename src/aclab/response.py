@@ -36,6 +36,9 @@ from .thermo import fermi
 
 DT_SCALE = 0.05  # default step, as a fraction of 1 / max|E|
 TAIL_FRACTION = 1e-13  # envelope tail mass left outside the pulse window
+# erfcinv(TAIL_FRACTION) as the float64 literal it rounds to; change the two
+# together (tests/test_response.py checks them bit for bit)
+_TAIL_QUANTILE = 5.261512368864785
 TRACE_DRIFT_TOL = 1e-10
 SPECTRUM_DRIFT_TOL = 1e-8
 FIT_TOL = 0.05  # alpha-ladder fit residual, relative to the data scale
@@ -74,9 +77,7 @@ class FieldPulse:
 
     def time_window(self) -> float:
         """Half-window t_max with envelope tail mass below TAIL_FRACTION of the total."""
-        from scipy.special import erfcinv  # slow to import, and needed only here
-
-        return float(np.sqrt(2.0) * self.width * erfcinv(TAIL_FRACTION))
+        return float(np.sqrt(2.0) * self.width * _TAIL_QUANTILE)
 
 
 @dataclass

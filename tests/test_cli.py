@@ -45,15 +45,21 @@ def map_calls(monkeypatch):
     return calls
 
 
-def test_import_path_loads_no_scipy():
-    # scipy.special alone costs more than the rest of the import; only
-    # FieldPulse.time_window and convolution_check import scipy, when called
+def test_import_path_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI, the whole verify
+    # battery and the pulse window must load no scipy module
     src = str(Path(aclab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, aclab.cli; print(' '.join(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, timeout=60,
-                            env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    config, _ = small_config(tmp_path, ensemble={"realizations": 4})
+    probe = ("import contextlib, sys, aclab.cli\n"
+             "with contextlib.redirect_stdout(sys.stderr):\n"
+             f"    code = aclab.cli.main(['verify', '--config', {str(config)!r}])\n"
+             "aclab.FieldPulse(1.0, 2.0).time_window()\n"
+             "print(code, ' '.join(sys.modules))")
+    code, *loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                   text=True, check=True, timeout=60,
+                                   env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert code == "0"
     assert "aclab.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
@@ -96,6 +102,9 @@ MALFORMED = [
     ("ensemble.realizations", True),
     ("bins.frequency_bins_per_side", 40.5),
     ("bins.dos_bins", False),
+    ("disorder.strength", True),
+    ("disorder.strength", "1.5"),
+    ("dynamics.alphas", "1"),
 ]
 
 FULL_CONFIG = {
@@ -244,6 +253,35 @@ class TestSweepCommand:
         assert code == 2
         message = json.loads(capsys.readouterr().out)
         assert message["field"] == "sweeps.temperature"
+
+    @pytest.mark.parametrize("axis", ["temperature", "disorder"])
+    def test_nu_max_inside_the_spectrum_exits_2(self, tmp_path, capsys, axis):
+        # the grid's largest strength is the config's, so both axes and sigma
+        # see the same spectral diameter 6.0
+        path, _ = small_config(tmp_path, sweeps={"temperature": [0.5, 1.0],
+                                                 "disorder": [0.5, 1.0]},
+                               bins={"nu_max": 1.0})
+        assert main(["sigma", "--config", str(path)]) == 2
+        refused = json.loads(capsys.readouterr().out)
+        assert refused["message"] == "nu_max 1.0 smaller than spectral diameter 6.0"
+        assert main(["sweep", "--config", str(path), "--axis", axis]) == 2
+        assert json.loads(capsys.readouterr().out) == refused
+
+    def test_bins_section_reaches_the_disorder_sweep(self, tmp_path):
+        def near_zero_columns(name, **overrides):
+            (tmp_path / name).mkdir()
+            path, _ = small_config(tmp_path / name, sweeps={"disorder": [0.5, 1.0, 2.0]},
+                                   **overrides)
+            assert main(["sweep", "--config", str(path), "--axis", "disorder"]) == 0
+            rows = (tmp_path / name / "out" / "sweep_disorder.csv").read_text().splitlines()
+            header = rows[0].split(",")
+            keep = [i for i, key in enumerate(header) if key.startswith("near_zero_")]
+            assert len(keep) == 4
+            return [[row.split(",")[i] for i in keep] for row in rows[1:]]
+
+        default = near_zero_columns("default")
+        coarse = near_zero_columns("coarse", bins={"frequency_bins_per_side": 2})
+        assert all(a != b for a, b in zip(coarse, default))
 
 
 class TestAbsorbCommand:

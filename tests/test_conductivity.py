@@ -463,6 +463,58 @@ class TestConvolution:
         with pytest.raises(ValueError, match="T > 0"):
             convolution_check(ps, ThermoParams(0.0, 0.0), edges)
 
+    EDGE_CASES = {
+        # an L = 2 ring meets its one neighbour twice, so every |v|^2 is 0
+        "ring_L2": (LatticeSpec(1, 2, "periodic"), 1.0, ThermoParams(1.0, 0.0)),
+        # a clean open square has exact level ties (E_ij = E_ji) and mass off them
+        "clean_square": (LatticeSpec(2, 6, "dirichlet"), 0.0, ThermoParams(0.5, 0.3)),
+        "hot": (LatticeSpec(1, 12, "dirichlet"), 1.0, ThermoParams(500.0, 0.0)),
+        "cold": (LatticeSpec(1, 32, "dirichlet"), 5.0, ThermoParams(0.05, 0.3)),
+        # every level far above mu: the plain tanh difference of two values
+        # near 1 cancels here (gaps up to 1.0), the log sinh / cosh form does not
+        "empty_band": (LatticeSpec(1, 12, "dirichlet"), 1.0, ThermoParams(0.05, -4.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_passes_on_edge_spectra(self, case):
+        lattice, strength, p = self.EDGE_CASES[case]
+        _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=6))
+        report = convolution_check(ps, p, frequency_bins(ps.bounds, ps.site_count))
+        assert report.passed
+        assert report.max_rel_gap <= 1e-11
+
+    # At T = 500 a 1e-6 shift of mu moves the quotients by about 1e-12 relative,
+    # below any tolerance, so that case scales a pair only.
+    @pytest.mark.parametrize("case, fault", [
+        ("clean_square", "shifted_fermi_level"), ("cold", "shifted_fermi_level"),
+        ("empty_band", "shifted_fermi_level"),
+        ("clean_square", "scaled_pair"), ("cold", "scaled_pair"), ("hot", "scaled_pair")])
+    def test_fails_when_only_the_direct_bins_move(self, monkeypatch, case, fault):
+        # the oracle reads neither conductivity.fermi nor _pair_mass, so a
+        # 1e-6 fault in either moves the direct bins alone
+        import aclab.conductivity as cond
+
+        lattice, strength, p = self.EDGE_CASES[case]
+        _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=6))
+        edges = frequency_bins(ps.bounds, ps.site_count)
+        assert convolution_check(ps, p, edges).passed
+        if fault == "shifted_fermi_level":
+            fermi = cond.fermi
+            monkeypatch.setattr(cond, "fermi", lambda e, q: fermi(
+                e, ThermoParams(q.temperature, q.fermi_level + 1e-6)))
+        else:
+            pair_mass = cond._pair_mass
+
+            def scaled(ps, q):
+                mass = pair_mass(ps, q)
+                mass[np.argmax(mass)] *= 1.0 + 1e-6
+                return mass
+
+            monkeypatch.setattr(cond, "_pair_mass", scaled)
+        report = convolution_check(ps, p, edges)
+        assert not report.passed
+        assert report.max_rel_gap > cond.CONVOLUTION_TOL
+
 
 class TestHighTemperatureEnvelope:
     def test_per_realization_bound_and_vanishing(self):

@@ -80,6 +80,13 @@ class TestFieldPulse:
         tail, _ = quad(lambda t: abs(pulse.field(t)), t_max, np.inf)
         assert tail / total < 1e-12
 
+    @pytest.mark.parametrize("width", [0.1, 1.0, 1.7, 3.0, 4.0, 12.5])
+    def test_time_window_is_the_erfcinv_quantile_bit_for_bit(self, width):
+        from scipy.special import erfcinv
+
+        expected = np.sqrt(2.0) * width * erfcinv(aclab.response.TAIL_FRACTION)
+        assert FieldPulse(1.0, width).time_window() == expected
+
 
 class TestPropagation:
     def test_equilibrium_carries_no_current(self, open_pair):

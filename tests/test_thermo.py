@@ -44,6 +44,22 @@ def test_derivative_integrates_to_one():
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("temperature, mu", [(0.05, 0.3), (0.7, -0.4), (16.0, 0.0)])
+@pytest.mark.parametrize("a, b", [(-2.0, -1.9), (-1.0, 0.35), (0.25, 0.3500001),
+                                  (0.4, 3.0), (-4.0, 4.0)])
+def test_derivative_integrates_to_the_fermi_and_half_tanh_differences(
+        temperature, mu, a, b):
+    # verify's convolution check integrates (-f)' over eigenvalue gaps by the
+    # half-tanh form; both must agree with f itself
+    p = ThermoParams(temperature, mu)
+    value, _ = quad(lambda e: fermi_derivative_neg(e, p), a, b,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)
+    half_tanh = 0.5 * (np.tanh((b - mu) / (2 * temperature))
+                       - np.tanh((a - mu) / (2 * temperature)))
+    assert value == pytest.approx(fermi(a, p) - fermi(b, p), abs=1e-13)
+    assert value == pytest.approx(half_tanh, abs=1e-13)
+
+
 def test_derivative_even_about_mu():
     p = ThermoParams(0.5, 2.0)
     x = np.linspace(0.0, 8.0, 33)
