@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import LatticeSpec, PERIODIC
-from .spectral import SpectralData, energy_bins
-from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg
+from .spectral import BOUNDS_SLACK, SpectralData, energy_bins
+from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
 
 DEGENERACY_SCALE = 1e-10
 EVEN_TOL = 1e-12           # negative bins against their mirror, relative to the largest bin
 DECOMPOSITION_TOL = 1e-12  # binned against unbinned Gamma mass, relative
-CONVOLUTION_TOL = 1e-8     # direct against gap-sum thermal bins, relative
+CONVOLUTION_TOL = 1e-8     # direct against half-tanh thermal bins, relative
 
 
 def degeneracy_threshold(bounds: tuple[float, float]) -> float:
@@ -192,9 +192,8 @@ def pair_spectrum(data: SpectralData, lattice: LatticeSpec) -> PairSpectrum:
 
 
 def _pair_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
-    """(pi / site_count) |v|^2 (f(E_m) - f(E_n)) / nu of the nu > eps_deg pairs, in table order."""
-    f = fermi(ps.energies, p)
-    weights = (f[ps.cols] - f[ps.rows]) / ps.nu
+    """(pi / site_count) |v|^2 pair_weight of the nu > eps_deg pairs, in table order."""
+    weights = pair_weight(ps.energies, ps.cols, ps.rows, p)
     return (np.pi / ps.site_count) * ps.velocity_abs2 * weights
 
 
@@ -204,7 +203,7 @@ def _degenerate_mass(ps: PairSpectrum, values: np.ndarray) -> float:
 
 
 def _tangent_atom(ps: PairSpectrum, p: ThermoParams) -> float:
-    """Degenerate pairs at pair_weight's tangent: (-f)'(midpoint) at T > 0, 0 at T = 0."""
+    """Degenerate pairs at pair_weight's nu -> 0 limit: (-f)'(midpoint) at T > 0, 0 at T = 0."""
     if p.temperature == 0.0:
         return 0.0
     e = ps.energies
@@ -245,16 +244,21 @@ def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
     """Bin the nu > eps_deg pairs (frequencies values) on the positive half and mirror.
 
     pair_mass must come from a mass symmetric in (n, m), so the mirrored copy
-    equals the negative-frequency pairs exactly.
+    equals the negative-frequency pairs exactly.  Eigenvalues may lie up to
+    BOUNDS_SLACK past each deterministic bound, so a frequency within twice
+    that of the top edge goes into the last bin; the edges do not move.
     """
     n_bins = len(bin_edges) - 1
     if n_bins % 2 or bin_edges[n_bins // 2] != 0.0:
         raise ValueError("frequency bins must be symmetric with zero on an edge")
-    if values.size and values.max() > bin_edges[-1]:
+    top = bin_edges[-1]
+    largest = values.max(initial=0.0)
+    if largest > top + 2.0 * BOUNDS_SLACK * max(1.0, top):
         raise ValueError(
-            f"pair frequency {values.max():.6g} beyond the bin range "
-            f"{bin_edges[-1]:.6g}; enlarge nu_max"
+            f"pair frequency {largest:.6g} beyond the bin range {top:.6g}; enlarge nu_max"
         )
+    if largest > top:
+        values = np.minimum(values, top)
     half_edges = bin_edges[n_bins // 2:]
     half = _bin_sum(values, pair_mass, half_edges)
     return np.concatenate([half[::-1], half])
@@ -357,13 +361,14 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
     if lattice.boundary != PERIODIC:
         raise ValueError("sum rule requires periodic boundary")
     forward = lattice.neighbor_shift(0, +1)
-    cols = np.arange(lattice.site_count)
     lhs, rhs = [], []
     for record in records:
         ps, data = record.pairs, record.spectral
         lhs.append(gamma_mass(ps, p) + _tangent_atom(ps, p))
-        f_h = (data.vectors * fermi(data.energies, p)) @ data.vectors.T
-        rhs.append(2.0 * np.pi * float(np.mean(f_h[forward, cols])))
+        # sum_x f(H)[x + e1, x] = sum_k f_k sum_x Q[x + e1, k] Q[x, k]: one band, not f(H)
+        q = data.vectors
+        band = np.einsum("xk,xk->k", q[forward], q) @ fermi(data.energies, p)
+        rhs.append(2.0 * np.pi * float(band) / lattice.site_count)
     lhs = np.array(lhs)
     rhs = np.array(rhs)
     n = len(records)
@@ -440,31 +445,26 @@ def convolution_check(ps: PairSpectrum, p: ThermoParams,
                       bin_edges: np.ndarray) -> ConvolutionReport:
     """Verify the thermal bins equal int dE (-f)'(E) x (T=0 bins at level E).
 
-    Between consecutive eigenvalues E_k < E < E_k+1 the zero-temperature
-    measure at level E is constant: the lowest k + 1 states are occupied, so
-    it holds the pairs with col <= k < row at weight 1 / nu.  Below E_0 and
-    above E_n-1 no pair straddles the level.  The integral is therefore the
-    sum over the n - 1 gaps of that measure times int (-f)' over the gap,
-    (tanh(x_k+1) - tanh(x_k)) / 2 with x = (E - mu) / 2T, an antiderivative
-    written independently of thermo.fermi.  It is evaluated as
-    2 sinh(x_k+1 - x_k) / (2 cosh x_k 2 cosh x_k+1) in logs, which neither
-    cancels where both tanh are near +-1 nor overflows at small T.  Exact per
-    realization, so the gap measures rounding only.
+    The zero-temperature measure at level E holds pair (n, m), E_m < E_n, at
+    weight 1 / nu exactly when E_m <= E < E_n.  So the integral gives each
+    pair int (-f)' over [E_m, E_n] / nu, and (-f)' integrates to
+    (tanh(x_n) - tanh(x_m)) / 2 with x = (E - mu) / 2T, an antiderivative
+    written independently of thermo.fermi and pair_weight.  It is evaluated
+    as 2 sinh(x_n - x_m) / (2 cosh x_m 2 cosh x_n) in logs, which neither
+    cancels where both tanh are near +-1 nor overflows at small T, and the
+    pairs are binned once.  Exact per realization, so the gap measures
+    rounding only.
     """
     if p.temperature <= 0:
         raise ValueError("convolution_check requires T > 0")
     direct = conductivity_measure(ps, p, bin_edges).bin_mass
     x = (ps.energies - p.fermi_level) / (2.0 * p.temperature)
-    step = np.diff(x)
-    with np.errstate(divide="ignore"):  # tied levels, step 0, weigh exp(-inf) = 0
-        log_2sinh = step + np.log(-np.expm1(-2.0 * step))
     log_2cosh = np.logaddexp(x, -x)
-    gap_weights = np.exp(log_2sinh - log_2cosh[:-1] - log_2cosh[1:])
-    scaled = np.pi / ps.site_count * ps.velocity_abs2 / ps.nu
-    oracle = np.zeros_like(direct)
-    for k, weight in enumerate(gap_weights):
-        straddles = (ps.cols <= k) & (ps.rows > k)
-        oracle += weight * _mirror_bin(ps.nu[straddles], scaled[straddles], bin_edges)
+    step = ps.nu / (2.0 * p.temperature)  # x_n - x_m, > 0 on every stored pair
+    log_2sinh = step + np.log(-np.expm1(-2.0 * step))
+    half_tanh = np.exp(log_2sinh - log_2cosh[ps.cols] - log_2cosh[ps.rows])
+    mass = np.pi / ps.site_count * ps.velocity_abs2 * half_tanh / ps.nu
+    oracle = _mirror_bin(ps.nu, mass, bin_edges)
     scale = max(float(direct.max(initial=0.0)), 1e-300)
     max_rel = float(np.abs(direct - oracle).max(initial=0.0)) / scale
     return ConvolutionReport(max_rel_gap=max_rel, passed=max_rel <= CONVOLUTION_TOL)

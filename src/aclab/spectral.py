@@ -12,6 +12,7 @@ from .lattice import PERIODIC, LatticeSpec, build_laplacian
 RESIDUAL_TOL = 1e-10  # relative eigen residual / orthonormality
 MASS_TOL = 1e-12      # histogram normalization
 WEGNER_N_SIGMA = 3.0  # standard errors allowed above the Wegner bound
+BOUNDS_SLACK = 1e-10  # relative distance eigenvalues may lie past the deterministic bounds
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def eigendecompose(lattice: LatticeSpec, potential: np.ndarray,
     if not ortho <= RESIDUAL_TOL:
         raise RuntimeError(f"orthonormality defect {ortho:.3e} above {RESIDUAL_TOL:.0e}")
     if bounds is not None:
-        slack = 1e-10 * max(1.0, abs(bounds[0]), abs(bounds[1]))
+        slack = BOUNDS_SLACK * max(1.0, abs(bounds[0]), abs(bounds[1]))
         if energies[0] < bounds[0] - slack or energies[-1] > bounds[1] + slack:
             raise RuntimeError(
                 f"energies [{energies[0]:.6g}, {energies[-1]:.6g}] escape "

@@ -48,44 +48,34 @@ def fermi_derivative_neg(energy, p: ThermoParams):
     return out if out.ndim else float(out)
 
 
-def pair_weight(e_n, e_m, p: ThermoParams, eps_deg: float):
-    """Difference-quotient weight (f(E_m) - f(E_n)) / (E_n - E_m) for one eigenpair.
+def pair_weight(energies, low, high, p: ThermoParams):
+    """Difference quotient (f(E_low) - f(E_high)) / (E_high - E_low) of eigenpairs.
 
-    Pairs closer than eps_deg take the tangent value (-f)'((E_n + E_m)/2) when
-    T > 0 and 0 at T = 0 (degenerate pairs feed the zero-frequency atom, which
-    at T = 0 is handled by the diagonal measure instead).  Always >= 0 and
-    symmetric under swapping the arguments.
+    low and high index energies, with E_high > E_low pair by pair.  For T > 0
+    the numerator is the exact product f_low (1 - f_high) (1 - e^-(E_high -
+    E_low)/T): f and 1 - f are logistics of each level and the last factor is
+    one expm1 per pair, so no difference of nearly equal numbers is formed
+    when both levels are full or both empty.  At T = 0 it is the step
+    quotient.  Always in [0, 1/(4T)]; its nu -> 0 limit, (-f)'(E), is the
+    conductivity measure's tangent atom.
     """
-    e_n = np.asarray(e_n, dtype=float)
-    e_m = np.asarray(e_m, dtype=float)
-    gap = e_n - e_m
-    degenerate = np.abs(gap) <= eps_deg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = (fermi(e_m, p) - fermi(e_n, p)) / gap
+    energies = np.asarray(energies, dtype=float)
+    gap = energies[high] - energies[low]
     if p.temperature == 0.0:
-        tangent = np.zeros_like(gap)
-    else:
-        tangent = fermi_derivative_neg(0.5 * (e_n + e_m), p)
-    out = np.where(degenerate, tangent, quotient)
-    return out if out.ndim else float(out)
-
-
-def sech2(x):
-    """Overflow-safe sech^2."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    e = np.exp(-ax)
-    s = 2.0 * e / (1.0 + e * e)
-    out = s * s
-    return out if out.ndim else float(out)
+        f = fermi(energies, p)
+        return (f[low] - f[high]) / gap
+    x = (energies - p.fermi_level) / p.temperature
+    full, empty = _logistic(-x), _logistic(x)
+    return full[low] * empty[high] * -np.expm1(-gap / p.temperature) / gap
 
 
 def c_mu_t(p: ThermoParams, bounds: tuple[float, float]) -> float:
     """Infimum of sech^2((E - mu)/(2T)) over E in [E_- - E_+, E_+ - E_-].
 
     The interval is symmetric, [-D, D] with D = E_+ - E_-, so the infimum sits
-    at the endpoint farthest from mu.  The scale 2T of the sech argument
-    matches the actual minimum of 4T (-f)' over the interval, so the lower
-    sandwich bound is sharp.
+    at the endpoint farthest from mu, and 4T (-f)'(E) = sech^2((E - mu)/(2T))
+    gives its value.  The scale 2T of the sech argument matches the actual
+    minimum of 4T (-f)' over the interval, so the lower sandwich bound is sharp.
     """
     if p.temperature <= 0:
         raise ValueError("c_mu_t requires T > 0")
@@ -94,4 +84,4 @@ def c_mu_t(p: ThermoParams, bounds: tuple[float, float]) -> float:
     if diameter <= 0:
         raise ValueError("bounds must satisfy E_- < E_+")
     farthest = diameter + abs(p.fermi_level)
-    return sech2(farthest / (2.0 * p.temperature))
+    return 4.0 * p.temperature * fermi_derivative_neg(p.fermi_level + farthest, p)

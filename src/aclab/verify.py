@@ -125,7 +125,8 @@ def check_velocity_position(ctx: _Context) -> CheckResult:
 def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
     # Each mirrored negative bin against its own nu < -eps_deg pairs, taken from
     # the dense |Q^H v Q|^2 rather than the stored table.  Pairs are binned at
-    # |nu|, so one on a bin edge lands in the mirror image of its partner's bin.
+    # |nu|, so one on a bin edge lands in the mirror image of its partner's bin,
+    # and one past the top edge by rounding lands in the last bin, as in _mirror_bin.
     half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
     worst = 0.0
     for record, sigma in zip(ctx.records[:n], ctx.sigmas(n)):
@@ -135,8 +136,9 @@ def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
         nu = e[:, None] - e[None, :]
         rows, cols = np.nonzero(nu < -ps.eps_deg)
         mass = (np.pi / ps.site_count * abs2[rows, cols]
-                * pair_weight(e[rows], e[cols], ctx.thermo, ps.eps_deg))
-        negative, _ = np.histogram(-nu[rows, cols], bins=half_edges, weights=mass)
+                * pair_weight(e, rows, cols, ctx.thermo))
+        negative, _ = np.histogram(np.minimum(-nu[rows, cols], half_edges[-1]),
+                                   bins=half_edges, weights=mass)
         gap = np.abs(sigma.bin_mass[:len(negative)] - negative[::-1]).max()
         worst = max(worst, float(gap / max(sigma.bin_mass.max(), 1e-300)))
     tol = cond.EVEN_TOL
@@ -147,11 +149,12 @@ def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
 
 def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
     # The margin is the smallest bin that holds a nu > eps_deg pair; a bin
-    # holding none must be exactly 0, and the atom nonnegative.
+    # holding none must be exactly 0, and the atom nonnegative.  A pair past
+    # the top edge by rounding is held by the last bin, as in _mirror_bin.
     half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
     smallest, stray, atom = np.inf, 0.0, np.inf
     for ps, sigma in zip(ctx.spectra[:n], ctx.sigmas(n)):
-        counts, _ = np.histogram(ps.nu, bins=half_edges)
+        counts, _ = np.histogram(np.minimum(ps.nu, half_edges[-1]), bins=half_edges)
         held = np.concatenate([counts[::-1], counts]) > 0
         smallest = min(smallest, sigma.bin_mass[held].min(initial=np.inf))
         stray = max(stray, np.abs(sigma.bin_mass[~held]).max(initial=0.0))
@@ -184,7 +187,7 @@ def check_decomposition(ctx: _Context, n: int = 8) -> CheckResult:
                    f"binned vs unbinned Gamma mass: max relative gap {worst:.3e}")
 
 
-def check_convolution(ctx: _Context, n: int = 3) -> CheckResult:
+def check_convolution(ctx: _Context, n: int = 8) -> CheckResult:
     name = "convolution"
     if ctx.thermo.temperature <= 0:
         return _skip(name, "identity needs T > 0")
@@ -309,7 +312,7 @@ def run_verify(config: RunConfig) -> VerifyReport:
         check_positivity(ctx, small),
         check_support(ctx, small),
         check_decomposition(ctx, small),
-        check_convolution(ctx, min(n, 3)),
+        check_convolution(ctx, small),
         check_sandwich(ctx, medium),
         check_high_t_bound(ctx, medium),
         check_sum_rule(ctx, n),

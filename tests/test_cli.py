@@ -218,6 +218,16 @@ class TestSigmaCommand:
         assert message["status"] == "error"
         assert "linear_size" in message["message"]
 
+    @pytest.mark.parametrize("dimension, linear_size", [(2, 8), (3, 4)])
+    def test_clean_even_box_exits_0_at_the_default_edges(self, tmp_path, dimension,
+                                                          linear_size):
+        # the extreme levels of a clean even periodic box round a few ulps past
+        # +-2d, so the largest pair frequency passes the default nu_max
+        lattice = {"dimension": dimension, "linear_size": linear_size, "boundary": "periodic"}
+        path, _ = small_config(tmp_path, lattice=lattice, ensemble={"realizations": 2},
+                               disorder={"strength": 0.0, "seed": 99})
+        assert main(["sigma", "--config", str(path)]) == 0
+
     def test_seed_override_changes_numbers(self, tmp_path):
         path, _ = small_config(tmp_path)
         main(["sigma", "--config", str(path), "--out", str(tmp_path / "a")])

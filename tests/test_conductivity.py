@@ -22,7 +22,8 @@ from aclab import (
     sum_rule_mass,
     upsilon_measure,
 )
-from aclab.conductivity import _bin_sum
+from aclab.conductivity import _bin_sum, _mirror_bin
+from aclab.spectral import BOUNDS_SLACK
 
 from conftest import MASTER_SEED, lattices, make_pair_spectrum, plane_wave_atom
 
@@ -205,6 +206,20 @@ def test_bin_sum_matches_np_histogram(case):
 def test_bin_sum_rejects_decreasing_edges():
     with pytest.raises(ValueError, match="monotonically"):
         _bin_sum(np.zeros(1), np.ones(1), np.array([0.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize("nu_max", [0.5, 8.0])
+def test_mirror_bin_takes_an_overrun_within_the_bounds_slack(nu_max):
+    # eigenvalues may pass each bound by BOUNDS_SLACK, so a pair frequency may
+    # pass the default nu_max by twice that; beyond it nu_max is too small
+    edges = frequency_bins((-0.5 * nu_max, 0.5 * nu_max), 16)
+    slack = 2.0 * BOUNDS_SLACK * max(1.0, nu_max)
+    inside = np.array([0.3 * nu_max, nu_max + 0.9 * slack])
+    mass = _mirror_bin(inside, np.array([1.0, 2.0]), edges)
+    assert mass[-1] == mass[0] == 2.0
+    assert mass.sum() == 6.0
+    with pytest.raises(ValueError, match="enlarge nu_max"):
+        _mirror_bin(np.array([nu_max + 1.1 * slack]), np.ones(1), edges)
 
 
 class TestTwoSiteClosedForms:
@@ -463,45 +478,52 @@ class TestConvolution:
         with pytest.raises(ValueError, match="T > 0"):
             convolution_check(ps, ThermoParams(0.0, 0.0), edges)
 
-    EDGE_CASES = {
+    EDGE_CASES = {  # lattice, disorder strength, thermo, disorder seed
         # an L = 2 ring meets its one neighbour twice, so every |v|^2 is 0
-        "ring_L2": (LatticeSpec(1, 2, "periodic"), 1.0, ThermoParams(1.0, 0.0)),
+        "ring_L2": (LatticeSpec(1, 2, "periodic"), 1.0, ThermoParams(1.0, 0.0), 6),
         # a clean open square has exact level ties (E_ij = E_ji) and mass off them
-        "clean_square": (LatticeSpec(2, 6, "dirichlet"), 0.0, ThermoParams(0.5, 0.3)),
-        "hot": (LatticeSpec(1, 12, "dirichlet"), 1.0, ThermoParams(500.0, 0.0)),
-        "cold": (LatticeSpec(1, 32, "dirichlet"), 5.0, ThermoParams(0.05, 0.3)),
+        "clean_square": (LatticeSpec(2, 6, "dirichlet"), 0.0, ThermoParams(0.5, 0.3), 6),
+        "hot": (LatticeSpec(1, 12, "dirichlet"), 1.0, ThermoParams(500.0, 0.0), 6),
+        "cold": (LatticeSpec(1, 32, "dirichlet"), 5.0, ThermoParams(0.05, 0.3), 6),
         # every level far above mu: the plain tanh difference of two values
         # near 1 cancels here (gaps up to 1.0), the log sinh / cosh form does not
-        "empty_band": (LatticeSpec(1, 12, "dirichlet"), 1.0, ThermoParams(0.05, -4.0)),
+        "empty_band": (LatticeSpec(1, 12, "dirichlet"), 1.0, ThermoParams(0.05, -4.0), 6),
+        # every level far below mu: a difference of two occupations rounded
+        # to within an ulp of 1 cancels, the product form does not
+        "full_band": (LatticeSpec(1, 32, "periodic"), 1.0, ThermoParams(0.1, 4.0), 6),
+        # both levels below mu by 50 T and more: their occupations both round to 1
+        "cold_L2": (LatticeSpec(1, 2, "dirichlet"), 5.0, ThermoParams(0.05, 0.3),
+                    MASTER_SEED),
+        "d3_L6": (LatticeSpec(3, 6, "periodic"), 1.0, ThermoParams(1.0, 0.2), 6),
     }
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_passes_on_edge_spectra(self, case):
-        lattice, strength, p = self.EDGE_CASES[case]
-        _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=6))
+        lattice, strength, p, seed = self.EDGE_CASES[case]
+        _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=seed))
         report = convolution_check(ps, p, frequency_bins(ps.bounds, ps.site_count))
         assert report.passed
-        assert report.max_rel_gap <= 1e-11
+        assert report.max_rel_gap <= 1e-12
 
     # At T = 500 a 1e-6 shift of mu moves the quotients by about 1e-12 relative,
     # below any tolerance, so that case scales a pair only.
     @pytest.mark.parametrize("case, fault", [
         ("clean_square", "shifted_fermi_level"), ("cold", "shifted_fermi_level"),
-        ("empty_band", "shifted_fermi_level"),
+        ("empty_band", "shifted_fermi_level"), ("full_band", "shifted_fermi_level"),
         ("clean_square", "scaled_pair"), ("cold", "scaled_pair"), ("hot", "scaled_pair")])
     def test_fails_when_only_the_direct_bins_move(self, monkeypatch, case, fault):
-        # the oracle reads neither conductivity.fermi nor _pair_mass, so a
-        # 1e-6 fault in either moves the direct bins alone
+        # the oracle reads neither conductivity.pair_weight nor _pair_mass, so
+        # a 1e-6 fault in either moves the direct bins alone
         import aclab.conductivity as cond
 
-        lattice, strength, p = self.EDGE_CASES[case]
-        _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=6))
+        lattice, strength, p, seed = self.EDGE_CASES[case]
+        _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=seed))
         edges = frequency_bins(ps.bounds, ps.site_count)
         assert convolution_check(ps, p, edges).passed
         if fault == "shifted_fermi_level":
-            fermi = cond.fermi
-            monkeypatch.setattr(cond, "fermi", lambda e, q: fermi(
-                e, ThermoParams(q.temperature, q.fermi_level + 1e-6)))
+            pair_weight = cond.pair_weight
+            monkeypatch.setattr(cond, "pair_weight", lambda e, low, high, q: pair_weight(
+                e, low, high, ThermoParams(q.temperature, q.fermi_level + 1e-6)))
         else:
             pair_mass = cond._pair_mass
 

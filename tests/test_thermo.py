@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -92,32 +92,47 @@ def test_logistic_matches_the_libm_forms(xs):
 
 
 def test_pair_weight_step_quotient():
-    assert pair_weight(1.0, -1.0, ThermoParams(0.0, 0.0), 1e-10) == 0.5
+    assert pair_weight(np.array([-1.0, 1.0]), 0, 1, ThermoParams(0.0, 0.0)) == 0.5
 
 
 def test_pair_weight_closed_form_tanh():
-    value = pair_weight(1.0, -1.0, ThermoParams(1.0, 0.0), 1e-10)
+    value = pair_weight(np.array([-1.0, 1.0]), 0, 1, ThermoParams(1.0, 0.0))
     assert value == pytest.approx(np.tanh(0.5) / 2.0, rel=1e-14)
 
 
-def test_pair_weight_degenerate_limit():
-    p = ThermoParams(1.0, 2.0)
-    assert pair_weight(2.0, 2.0, p, 1e-10) == pytest.approx(0.25, rel=1e-14)
-    # T = 0 degenerate pairs carry no difference-quotient weight
-    assert pair_weight(2.0, 2.0, ThermoParams(0.0, 2.0), 1e-10) == 0.0
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(finite_energy, finite_energy, st.floats(min_value=0.05, max_value=20.0),
        finite_energy)
-def test_pair_weight_symmetric_bounded(e_n, e_m, temperature, mu):
-    p = ThermoParams(temperature, mu)
-    w_nm = pair_weight(e_n, e_m, p, 1e-10)
-    w_mn = pair_weight(e_m, e_n, p, 1e-10)
-    assert w_nm == w_mn
-    # mean-value bound up to quotient cancellation (~ ulp / gap)
-    cancellation = 1e-15 / max(abs(e_n - e_m), 1e-10)
-    assert 0.0 <= w_nm <= 1.0 / (4.0 * temperature) + cancellation
+@example(0.3, 0.3 + 1e-9, 0.05, 0.3)  # at the peak 1/(4T)
+def test_pair_weight_bounded(e_a, e_b, temperature, mu):
+    # the mean-value bound, with no allowance for cancellation: none is formed
+    assume(e_a != e_b)
+    energies = np.array([min(e_a, e_b), max(e_a, e_b)])
+    w = pair_weight(energies, 0, 1, ThermoParams(temperature, mu))
+    assert 0.0 <= w <= (1.0 + 8.0 * np.finfo(float).eps) / (4.0 * temperature)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_energy, min_size=2, max_size=12, unique=True),
+       st.floats(min_value=0.05, max_value=20.0), finite_energy)
+@example([-3.9, -3.8], 0.1, 4.0)
+def test_pair_weight_matches_the_logistic_difference(levels, temperature, mu):
+    # f(E_low) - f(E_high) keeps its digits where f(E_high) is at most half of
+    # f(E_low), and so does (1 - f(E_high)) - (1 - f(E_low)) where 1 - f(E_low)
+    # is at most half of 1 - f(E_high), as with both levels full.  Both forms
+    # round x = (E - mu) / T, so they agree to about |x| eps.
+    energies = np.sort(levels)
+    low, high = np.nonzero(energies[:, None] < energies[None, :])
+    x = (energies - mu) / temperature
+    full, empty = expit(-x), expit(x)
+    by_full = full[high] <= 0.5 * full[low]
+    by_empty = empty[low] <= 0.5 * empty[high]
+    difference = np.where(by_full, full[low] - full[high], empty[high] - empty[low])
+    kept = (by_full | by_empty) & (difference > 1e-300)
+    low, high = low[kept], high[kept]
+    expected = difference[kept] / (energies[high] - energies[low])
+    w = pair_weight(energies, low, high, ThermoParams(temperature, mu))
+    assert np.all(np.abs(w - expected) <= 1e-12 * expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,15 +147,15 @@ def test_fermi_monotone_nonincreasing(e_lo, e_hi, temperature):
 def test_pair_weight_equals_quadrature_of_step_weights():
     # the thermal quotient is the (-f)' average of zero-temperature quotients
     p = ThermoParams(0.6, 0.2)
-    e_n, e_m = 1.3, -0.7
-    direct = pair_weight(e_n, e_m, p, 1e-12)
+    energies = np.array([-0.7, 1.3])
+    direct = pair_weight(energies, 0, 1, p)
 
     def integrand(level):
         step = ThermoParams(0.0, level)
-        return fermi_derivative_neg(level, p) * pair_weight(e_n, e_m, step, 1e-12)
+        return fermi_derivative_neg(level, p) * pair_weight(energies, 0, 1, step)
 
     value, _ = quad(integrand, -40, 40, epsabs=1e-13, limit=200,
-                    points=[e_m, e_n])
+                    points=list(energies))
     assert value == pytest.approx(direct, abs=1e-9)
 
 
