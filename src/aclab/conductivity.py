@@ -31,7 +31,6 @@ from .spectral import BOUNDS_SLACK, SpectralData, energy_bins
 from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
 
 DEGENERACY_SCALE = 1e-10
-EVEN_TOL = 1e-12           # negative bins against their mirror, relative to the largest bin
 DECOMPOSITION_TOL = 1e-12  # binned against unbinned Gamma mass, relative
 CONVOLUTION_TOL = 1e-8     # direct against half-tanh thermal bins, relative
 

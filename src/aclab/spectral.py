@@ -70,29 +70,25 @@ def build_hamiltonian(lattice: LatticeSpec, potential: np.ndarray) -> np.ndarray
     return h
 
 
-def _stencil_residual(lattice: LatticeSpec, potential: np.ndarray,
-                      vectors: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """H Q - Q Lambda from the nearest-neighbour stencil, without forming H.
+def subtract_hopping(lattice: LatticeSpec, out: np.ndarray, x: np.ndarray) -> None:
+    """out -= sum_a (x[s + e_a] + x[s - e_a]) in place, that is out += kinetic @ x.
 
-    (H Q)[x] = V(x) Q[x] - sum_a (Q[x + e_a] + Q[x - e_a]).  Rows of
-    Q are sites in row-major order, so along axis a they reshape to
-    (L^a, L, rest) and each neighbour is a slice of the middle index.
-    Periodic boxes wrap (an L=2 ring meets its one neighbour twice, as
-    build_laplacian's doubled bond); dirichlet boxes drop the out-of-box
-    neighbours.
+    Rows are sites in row-major order, so along axis a they reshape to
+    (L^a, L, rest) and each neighbour is a slice of the middle index.  Periodic
+    boxes wrap (an L=2 ring meets its one neighbour twice, as build_laplacian's
+    doubled bond); dirichlet boxes drop the out-of-box neighbours.  Reshaping an
+    out that is not C-contiguous would copy it and lose the subtraction.
     """
-    r = potential[:, None] - energies[None, :]
-    r *= vectors
-    length = lattice.linear_size
+    if not out.flags.c_contiguous:
+        raise ValueError("subtract_hopping needs a C-contiguous out")
     for axis in range(lattice.dimension):
-        shape = (length ** axis, length, -1)
-        res, q = r.reshape(shape), vectors.reshape(shape)
+        shape = (lattice.linear_size ** axis, lattice.linear_size, -1)
+        res, q = out.reshape(shape), x.reshape(shape)
         res[:, :-1] -= q[:, 1:]
         res[:, 1:] -= q[:, :-1]
         if lattice.boundary == PERIODIC:
             res[:, -1] -= q[:, 0]
             res[:, 0] -= q[:, -1]
-    return r
 
 
 def eigendecompose(lattice: LatticeSpec, potential: np.ndarray,
@@ -117,7 +113,9 @@ def eigendecompose(lattice: LatticeSpec, potential: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     del h
-    r = _stencil_residual(lattice, potential, vectors, energies)
+    r = potential[:, None] - energies[None, :]  # H Q - Q Lambda from the stencil
+    r *= vectors
+    subtract_hopping(lattice, r, vectors)
     residual = float(np.abs(r, out=r).max())
     if not residual <= RESIDUAL_TOL * scale:  # NaN fails too
         raise RuntimeError(f"eigen residual {residual:.3e} above {RESIDUAL_TOL:.0e} * scale")

@@ -66,6 +66,7 @@ def pair_weight(energies, low, high, p: ThermoParams):
         return (f[low] - f[high]) / gap
     x = (energies - p.fermi_level) / p.temperature
     full, empty = _logistic(-x), _logistic(x)
+    gap = np.maximum(gap, np.finfo(float).tiny * p.temperature)  # keep gap / T normal
     return full[low] * empty[high] * -np.expm1(-gap / p.temperature) / gap
 
 

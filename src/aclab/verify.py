@@ -18,8 +18,10 @@ from .ensemble import Realization, realization_pair_spectrum
 from .lattice import DIRICHLET, PERIODIC, build_velocity, position_values
 from .response import ExtractionResult, absorbed_energy_lr, absorbed_energy_td, \
     linear_response_extract, propagate_liouville
-from .spectral import dos_histogram, energy_bins, wegner_check
-from .thermo import ThermoParams, pair_weight
+from .spectral import dos_histogram, energy_bins, subtract_hopping, wegner_check
+from .thermo import ThermoParams
+
+MOMENT_TOL = 1e-12  # commutator moments against the pair table, relative to their bound
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class _Context:
         self.thermo = config.thermo
         self.bounds = spectral_bounds(self.disorder, self.lattice)
         self.bin_edges = config.frequency_edges()
-        self.velocity = build_velocity(self.lattice)  # the dense route of two checks
+        self.hop = (1j * build_velocity(self.lattice)).real  # A = i v, real antisymmetric
         self.records = ensemble._map_indices(
             lambda i: realization_pair_spectrum(self.lattice, self.disorder.with_index(i)),
             config.ensemble["realizations"], 1)
@@ -111,40 +113,40 @@ def check_velocity_position(ctx: _Context) -> CheckResult:
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "position operator needs dirichlet boundary")
     data = ctx.records[0].spectral
-    x1 = np.diag(position_values(ctx.lattice))
-    d_eig = data.vectors.conj().T @ ctx.velocity @ data.vectors
-    x_eig = data.vectors.conj().T @ x1 @ data.vectors
+    a_eig = data.vectors.T @ ctx.hop @ data.vectors  # i v_nm
+    x_eig = data.vectors.T @ (position_values(ctx.lattice)[:, None] * data.vectors)
     gaps = data.energies[:, None] - data.energies[None, :]
-    defect = np.abs(d_eig - 1j * gaps * x_eig).max()
-    scale = max(np.abs(d_eig).max(), 1.0)
+    defect = np.abs(a_eig + gaps * x_eig).max()  # |v_nm - i(E_n-E_m) x_nm|
+    scale = max(np.abs(a_eig).max(), 1.0)
     tol = 1e-10 * scale
     return _result(name, defect <= tol, tol - defect,
                    f"max |v_nm - i(E_n-E_m) x_nm| = {defect:.3e} (tol {tol:.1e})")
 
 
-def check_evenness(ctx: _Context, n: int = 8) -> CheckResult:
-    # Each mirrored negative bin against its own nu < -eps_deg pairs, taken from
-    # the dense |Q^H v Q|^2 rather than the stored table.  Pairs are binned at
-    # |nu|, so one on a bin edge lands in the mirror image of its partner's bin,
-    # and one past the top edge by rounding lands in the last bin, as in _mirror_bin.
-    half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
+def check_commutator_moments(ctx: _Context, n: int = 8) -> CheckResult:
+    # (ad_H^k v)_nm = nu_nm^k v_nm, so ||ad_H^k A||_F^2 = sum_nm nu^2k |v_nm|^2 with
+    # v = -iA (k = 0 sums the table).  The left side applies the stencil to the real
+    # A, with no eigenvector: C_k is antisymmetric for even k and symmetric for odd
+    # k, so C H = -+(H C)^T.  The right side reads the stored split, with nu from
+    # the energies; each gap is scaled by its bound ||A||_F^2 (2 max|E|)^2k.
+    scale = max(float(np.vdot(ctx.hop, ctx.hop)), 1.0)
+    spread = 2.0 * max(abs(b) for b in ctx.bounds)
     worst = 0.0
-    for record, sigma in zip(ctx.records[:n], ctx.sigmas(n)):
-        data, ps = record.spectral, record.pairs
-        e = data.energies
-        abs2 = np.abs(data.vectors.conj().T @ ctx.velocity @ data.vectors) ** 2
-        nu = e[:, None] - e[None, :]
-        rows, cols = np.nonzero(nu < -ps.eps_deg)
-        mass = (np.pi / ps.site_count * abs2[rows, cols]
-                * pair_weight(e, rows, cols, ctx.thermo))
-        negative, _ = np.histogram(np.minimum(-nu[rows, cols], half_edges[-1]),
-                                   bins=half_edges, weights=mass)
-        gap = np.abs(sigma.bin_mass[:len(negative)] - negative[::-1]).max()
-        worst = max(worst, float(gap / max(sigma.bin_mass.max(), 1e-300)))
-    tol = cond.EVEN_TOL
-    return _result("evenness", worst <= tol, tol - worst,
-                   f"max gap of a negative bin from its own pairs {worst:.3e} "
-                   f"over {n} realizations")
+    for record in ctx.records[:n]:
+        ps, e = record.pairs, record.pairs.energies
+        nu2 = (e[ps.rows] - e[ps.cols]) ** 2
+        nu2_deg = (e[ps.degenerate_rows] - e[ps.degenerate_cols]) ** 2
+        c = ctx.hop
+        for k in range(5):
+            if k:
+                hc = record.potential[:, None] * c
+                subtract_hopping(ctx.lattice, hc, c)
+                c = hc + hc.T if k % 2 else hc - hc.T
+            rhs = 2.0 * (ps.velocity_abs2 @ nu2 ** k) + ps.degenerate_abs2 @ nu2_deg ** k
+            worst = max(worst, abs(np.vdot(c, c) - rhs) / (scale * spread ** (2 * k)))
+    return _result("commutator_moments", worst <= MOMENT_TOL, MOMENT_TOL - worst,
+                   f"max gap of ||ad_H^k A||_F^2 from sum nu^2k |v|^2 over its bound "
+                   f"{worst:.3e}, k = 0..4, over {n} realizations")
 
 
 def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
@@ -308,7 +310,7 @@ def run_verify(config: RunConfig) -> VerifyReport:
     medium = min(n, 32)
     checks = [
         check_velocity_position(ctx),
-        check_evenness(ctx, small),
+        check_commutator_moments(ctx, small),
         check_positivity(ctx, small),
         check_support(ctx, small),
         check_decomposition(ctx, small),

@@ -486,8 +486,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(aclab.conductivity, "_mirror_bin", fill_outermost)
         assert self._status(tmp_path, "positivity") == "fail"
 
-    def test_evenness_catches_a_scaled_pair_table(self, tmp_path, monkeypatch):
-        # the stored nu > eps_deg pairs no longer match their dense partners
+    def test_commutator_moments_catch_a_scaled_pair_table(self, tmp_path, monkeypatch):
+        # the stored nu > eps_deg pairs no longer sum to the stencil's moments
         original = aclab.verify.realization_pair_spectrum
 
         def scaled(*args):
@@ -497,7 +497,7 @@ class TestVerifyCommand:
             return dataclasses.replace(record, pairs=pairs)
 
         monkeypatch.setattr(aclab.verify, "realization_pair_spectrum", scaled)
-        assert self._status(tmp_path, "evenness") == "fail"
+        assert self._status(tmp_path, "commutator_moments") == "fail"
 
 
 SWEEPS = {"temperature": [0.5, 1.0, 2.0], "disorder": [0.1, 0.2, 0.4]}

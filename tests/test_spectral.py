@@ -15,7 +15,7 @@ from aclab import (
     wegner_check,
 )
 from aclab.lattice import plane_wave_energies
-from aclab.spectral import _stencil_residual
+from aclab.spectral import subtract_hopping
 
 from conftest import lattices
 
@@ -89,11 +89,27 @@ def test_stencil_residual_matches_the_dense_residual(lattice, strength, seed):
     h = build_hamiltonian(lattice, potential)
     scale = max(np.abs(h).max(), 1.0)
     dense = h @ data.vectors - data.vectors * data.energies[None, :]
-    stencil = _stencil_residual(lattice, potential, data.vectors, data.energies)
+    stencil = potential[:, None] * data.vectors
+    subtract_hopping(lattice, stencil, data.vectors)
+    stencil -= data.vectors * data.energies[None, :]
     assert np.abs(stencil - dense).max() <= 1e-14 * scale
     assert abs(data.residual - np.abs(dense).max()) <= 1e-14 * scale
     gram = data.vectors.T @ data.vectors - np.eye(lattice.site_count)
     assert abs(data.orthonormality - np.abs(gram).max()) <= 1e-15
+
+
+def test_subtract_hopping_refuses_an_out_it_would_copy():
+    # reshaping an F-ordered out copies it, so the subtraction would be lost
+    lattice = LatticeSpec(3, 4, "periodic")
+    x = np.random.default_rng(3).standard_normal((64, 64))
+    out = np.zeros((64, 64))
+    subtract_hopping(lattice, out, x)
+    assert np.abs(out - build_laplacian(lattice) @ x).max() <= 1e-13
+    for copied in (out.T, np.asfortranarray(out), out[:, ::2]):
+        before = copied.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            subtract_hopping(lattice, copied, x[:, :copied.shape[1]])
+        assert np.array_equal(copied, before)
 
 
 def _perturb_entry(vectors):

@@ -14,6 +14,12 @@ any_exponent = st.one_of(st.floats(min_value=-1e308, max_value=1e308),
                          st.sampled_from([np.inf, -np.inf]))
 
 
+def _logistic_oracle(x):
+    """expit(x), but e^x below x = -700, where the two agree to 1e-304 relative
+    and expit flushes to 0 from x = -709.8 on."""
+    return np.where(x < -700.0, np.exp(np.minimum(x, -700.0)), expit(x))
+
+
 def test_fermi_midpoint():
     assert fermi(0.0, ThermoParams(1.0, 0.0)) == 0.5
 
@@ -104,6 +110,8 @@ def test_pair_weight_closed_form_tanh():
 @given(finite_energy, finite_energy, st.floats(min_value=0.05, max_value=20.0),
        finite_energy)
 @example(0.3, 0.3 + 1e-9, 0.05, 0.3)  # at the peak 1/(4T)
+@example(0.0, 2.225073858507203e-309, 0.75, 0.0)  # gap / T subnormal
+@example(0.0, 3e-308, 20.0, 0.0)  # a normal gap, gap / T subnormal
 def test_pair_weight_bounded(e_a, e_b, temperature, mu):
     # the mean-value bound, with no allowance for cancellation: none is formed
     assume(e_a != e_b)
@@ -112,10 +120,19 @@ def test_pair_weight_bounded(e_a, e_b, temperature, mu):
     assert 0.0 <= w <= (1.0 + 8.0 * np.finfo(float).eps) / (4.0 * temperature)
 
 
+@pytest.mark.parametrize("gap, temperature", [(5e-324, 0.6), (5e-324, 20.0),
+                                              (2.225073858507203e-309, 0.75), (3e-308, 20.0)])
+def test_pair_weight_keeps_its_digits_where_gap_over_t_is_subnormal(gap, temperature):
+    # the quotient is 1/T to 1e-300 there, so f (1 - f) / T = 1/(4T) at E = mu
+    w = pair_weight(np.array([0.0, gap]), 0, 1, ThermoParams(temperature, 0.0))
+    assert abs(4.0 * temperature * w - 1.0) <= 4.0 * np.finfo(float).eps
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(finite_energy, min_size=2, max_size=12, unique=True),
        st.floats(min_value=0.05, max_value=20.0), finite_energy)
 @example([-3.9, -3.8], 0.1, 4.0)
+@example([0.0, 1.0], 0.05, 35.5)  # expit(-710) flushes to 0, e^-710 does not
 def test_pair_weight_matches_the_logistic_difference(levels, temperature, mu):
     # f(E_low) - f(E_high) keeps its digits where f(E_high) is at most half of
     # f(E_low), and so does (1 - f(E_high)) - (1 - f(E_low)) where 1 - f(E_low)
@@ -124,7 +141,7 @@ def test_pair_weight_matches_the_logistic_difference(levels, temperature, mu):
     energies = np.sort(levels)
     low, high = np.nonzero(energies[:, None] < energies[None, :])
     x = (energies - mu) / temperature
-    full, empty = expit(-x), expit(x)
+    full, empty = _logistic_oracle(-x), _logistic_oracle(x)
     by_full = full[high] <= 0.5 * full[low]
     by_empty = empty[low] <= 0.5 * empty[high]
     difference = np.where(by_full, full[low] - full[high], empty[high] - empty[low])

@@ -1,0 +1,103 @@
+"""The verify battery's commutator-moment check of the pair table.
+
+(ad_H^k v)_nm = nu_nm^k v_nm, so the stencil's ||ad_H^k A||_F^2 must equal
+the table's sum of nu^2k |v|^2 on every box, and any corruption of the table,
+its energies or the eigenvectors it came from must break the equality.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from aclab import DisorderSpec, LatticeSpec, ThermoParams, pair_spectrum
+from aclab.config import RunConfig
+from aclab.verify import _Context, check_commutator_moments, run_verify
+
+from conftest import MASTER_SEED, lattices
+
+
+def _config(lattice, strength, seed=MASTER_SEED, realizations=2):
+    return RunConfig(lattice=lattice, disorder=DisorderSpec(strength=strength, seed=seed),
+                     thermo=ThermoParams(1.0, 0.2), ensemble={"realizations": realizations},
+                     output={"directory": "unused"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(), st.sampled_from([0.0, 1.0, 5.0]), st.integers(0, 2**32 - 1))
+@example(LatticeSpec(3, 2, "periodic"), 0.0, 0)  # A = 0: the doubled bonds cancel
+@example(LatticeSpec(2, 2, "dirichlet"), 5.0, 0)
+@example(LatticeSpec(1, 16, "periodic"), 0.0, 0)
+def test_commutator_moments_hold_on_every_box(lattice, strength, seed):
+    # pass: the worst scaled gap over k = 0..4 and both realizations is <= 1e-12
+    assert check_commutator_moments(_Context(_config(lattice, strength, seed)), 2).status == "pass"
+
+
+def _doubled(record, lattice):
+    return dataclasses.replace(record.pairs, velocity_abs2=2.0 * record.pairs.velocity_abs2)
+
+
+def _swapped_energies(record, lattice):
+    energies = record.pairs.energies.copy()
+    energies[[3, 4]] = energies[[4, 3]]
+    return dataclasses.replace(record.pairs, energies=energies)
+
+
+def _rotated_vectors(record, lattice):
+    # the table of an eigenbasis off by a 1e-6 rotation of columns 5 and 6
+    vectors = record.spectral.vectors.copy()
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    vectors[:, [5, 6]] = vectors[:, [5, 6]] @ np.array([[c, s], [-s, c]])
+    return pair_spectrum(dataclasses.replace(record.spectral, vectors=vectors), lattice)
+
+
+def _dropped_pair(record, lattice):
+    ps = record.pairs
+    keep = np.arange(ps.nu.size) != np.argmax(ps.velocity_abs2)
+    return dataclasses.replace(ps, rows=ps.rows[keep], cols=ps.cols[keep], nu=ps.nu[keep],
+                               velocity_abs2=ps.velocity_abs2[keep])
+
+
+def _dropped_degenerate_pair(record, lattice):
+    ps = record.pairs
+    keep = np.arange(ps.degenerate_abs2.size) != np.argmax(ps.degenerate_abs2)
+    return dataclasses.replace(ps, degenerate_rows=ps.degenerate_rows[keep],
+                               degenerate_cols=ps.degenerate_cols[keep],
+                               degenerate_abs2=ps.degenerate_abs2[keep])
+
+
+RING = LatticeSpec(1, 32, "periodic")
+FAULTS = [
+    (_doubled, RING, 1.0),
+    (_doubled, LatticeSpec(3, 4, "dirichlet"), 5.0),
+    (_swapped_energies, RING, 1.0),
+    (_swapped_energies, LatticeSpec(2, 6, "periodic"), 5.0),
+    (_rotated_vectors, RING, 1.0),
+    (_rotated_vectors, LatticeSpec(3, 4, "dirichlet"), 1.0),
+    (_dropped_pair, RING, 1.0),
+    (_dropped_pair, LatticeSpec(1, 16, "dirichlet"), 1.0),
+    # degenerate |v|^2 is nonzero only on clean boxes
+    (_dropped_degenerate_pair, LatticeSpec(2, 8, "periodic"), 0.0),
+    (_dropped_degenerate_pair, RING, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, lattice, strength", FAULTS,
+    ids=[f"{f.__name__[1:]}-d{lat.dimension}L{lat.linear_size}-{lat.boundary}-{lam:g}"
+         for f, lat, lam in FAULTS])
+def test_commutator_moments_catch_a_corrupted_table(fault, lattice, strength):
+    ctx = _Context(_config(lattice, strength))
+    ctx.records = [dataclasses.replace(r, pairs=fault(r, lattice)) for r in ctx.records]
+    assert check_commutator_moments(ctx, 2).status == "fail"
+
+
+@pytest.mark.parametrize("lattice", [LatticeSpec(2, 8), LatticeSpec(2, 16), LatticeSpec(3, 4)],
+                         ids=["d2L8", "d2L16", "d3L4"])
+def test_verify_passes_commutator_moments_on_clean_periodic_boxes(lattice):
+    # every nu > eps_deg |v|^2 here is rounding noise and all the mass sits in
+    # degenerate pairs; sum_rule still fails on these boxes (identical
+    # realizations give a zero stderr), so only this check is asserted
+    checks = run_verify(_config(lattice, 0.0, realizations=4)).checks
+    assert next(c for c in checks if c.name == "commutator_moments").status == "pass"
