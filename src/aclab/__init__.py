@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 from .conductivity import (
     MeasureHistogram,
     PairSpectrum,
+    atom_mass,
     conductivity_measure,
     convolution_check,
     degeneracy_threshold,
@@ -15,9 +16,12 @@ from .conductivity import (
     gamma_mass,
     pair_spectrum,
     psi_diagonal,
+    psi_total,
     sandwich_check,
     sum_rule_mass,
+    sum_rule_sides,
     upsilon_measure,
+    upsilon_total,
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
 from .ensemble import (

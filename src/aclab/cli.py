@@ -83,9 +83,9 @@ def cmd_sweep(config: RunConfig, axis: str) -> int:
         return _fail(f"config has no sweeps.{axis} grid", field=f"sweeps.{axis}")
     n = config.ensemble["realizations"]
     if axis == "temperature":
+        config.frequency_edges()  # reads no bins, but refuses a nu_max as every command does
         table = temperature_sweep(config.disorder, config.lattice,
-                                  config.thermo.fermi_level, grid,
-                                  bin_edges=config.frequency_edges(), n=n)
+                                  config.thermo.fermi_level, grid, n=n)
     else:
         # one grid for every strength: the bounds of the largest one
         widest = dataclasses.replace(

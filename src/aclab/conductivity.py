@@ -15,7 +15,9 @@ at the degeneracy threshold eps_deg, and every measure reads the split:
 
 No n x n array outlives pair_spectrum.  Frequency histograms are symmetric
 grids about zero with the atom stored outside the bin array; bins accumulate
-the stored pairs and are mirrored, so evenness holds bit for bit.
+the stored pairs and are mirrored, so evenness holds bit for bit.  Totals are
+read from the split unbinned (gamma_mass, atom_mass, upsilon_total,
+psi_total), so a histogram is built only where its bins are used.
 
 Trace per unit volume is realized as Tr / site_count throughout.
 """
@@ -210,6 +212,17 @@ def _tangent_atom(ps: PairSpectrum, p: ThermoParams) -> float:
     return _degenerate_mass(ps, fermi_derivative_neg(midpoints, p))
 
 
+def _zero_temperature_atom(ps: PairSpectrum, p: ThermoParams) -> float:
+    # Gaussian-kernel estimate of the diagonal-measure density at mu.
+    dos_width = (ps.bounds[1] - ps.bounds[0]) / (2 * int(np.ceil(np.sqrt(ps.site_count))))
+    bandwidth = 4.0 * dos_width
+    e = ps.energies
+    midpoints = 0.5 * (e[ps.degenerate_rows] + e[ps.degenerate_cols])
+    kernel = np.exp(-0.5 * ((midpoints - p.fermi_level) / bandwidth) ** 2)
+    kernel /= bandwidth * np.sqrt(2.0 * np.pi)
+    return _degenerate_mass(ps, kernel)
+
+
 def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> float:
     """Unbinned dissipative mass 2 (pi / site_count) sum |v|^2 w over the nu > eps_deg pairs.
 
@@ -217,6 +230,34 @@ def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> float:
     binned_total() must reproduce it up to summation order.
     """
     return 2.0 * float(_pair_mass(ps, p).sum())
+
+
+def atom_mass(ps: PairSpectrum, p: ThermoParams) -> float:
+    """Zero-frequency atom of the conductivity measure, fed by the degenerate pairs.
+
+    For T > 0 it is the tangent atom, weight (-f)'(midpoint).  At T = 0 it is
+    the smoothed diagonal-measure density at mu (bandwidth 4 DOS bin widths,
+    an estimator choice), and the Fermi level must stay farther than eps_deg
+    from every eigenvalue: the measure is not defined on that exceptional set.
+    """
+    if p.temperature > 0.0:
+        return _tangent_atom(ps, p)
+    if np.abs(ps.energies - p.fermi_level).min() <= ps.eps_deg:
+        raise ValueError(
+            "T = 0 conductivity measure undefined: fermi_level within "
+            "eps_deg of an eigenvalue"
+        )
+    return _zero_temperature_atom(ps, p)
+
+
+def upsilon_total(ps: PairSpectrum) -> float:
+    """Total of upsilon_measure: 2 sum |v|^2 / site_count over the nu > eps_deg pairs."""
+    return 2.0 * float(ps.velocity_abs2.sum()) / ps.site_count
+
+
+def psi_total(ps: PairSpectrum) -> float:
+    """Total of psi_diagonal: (pi / site_count) sum |v|^2 over the degenerate pairs."""
+    return _degenerate_mass(ps, 1.0)
 
 
 def _bin_sum(values: np.ndarray, weights: np.ndarray,
@@ -268,41 +309,15 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams,
     """Finite-volume conductivity measure of one realization.
 
     Off-degenerate pairs carry (pi / site_count) |v_nm|^2 w(E_n, E_m) at
-    nu_nm, with w the Fermi difference quotient.  Degenerate pairs feed the
-    atom: weight (-f)'(midpoint) for T > 0; at T = 0 the atom is the
-    smoothed diagonal-measure density at mu (bandwidth 4 DOS bin widths,
-    an estimator choice).
-
-    At T = 0 the Fermi level must stay farther than eps_deg from every
-    eigenvalue; the measure is not defined on that exceptional set.
+    nu_nm, with w the Fermi difference quotient; the degenerate pairs feed
+    atom_mass.
     """
-    if p.temperature == 0.0:
-        if np.abs(ps.energies - p.fermi_level).min() <= ps.eps_deg:
-            raise ValueError(
-                "T = 0 conductivity measure undefined: fermi_level within "
-                "eps_deg of an eigenvalue"
-            )
-        atom = _zero_temperature_atom(ps, p)
-    else:
-        atom = _tangent_atom(ps, p)
-    mass = _mirror_bin(ps.nu, _pair_mass(ps, p), bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
-        bin_mass=mass,
-        atom_at_zero=atom,
+        bin_mass=_mirror_bin(ps.nu, _pair_mass(ps, p), bin_edges),
+        atom_at_zero=atom_mass(ps, p),
         meta={"kind": "sigma", "temperature": p.temperature, "fermi_level": p.fermi_level},
     )
-
-
-def _zero_temperature_atom(ps: PairSpectrum, p: ThermoParams) -> float:
-    # Gaussian-kernel estimate of the diagonal-measure density at mu.
-    dos_width = (ps.bounds[1] - ps.bounds[0]) / (2 * int(np.ceil(np.sqrt(ps.site_count))))
-    bandwidth = 4.0 * dos_width
-    e = ps.energies
-    midpoints = 0.5 * (e[ps.degenerate_rows] + e[ps.degenerate_cols])
-    kernel = np.exp(-0.5 * ((midpoints - p.fermi_level) / bandwidth) ** 2)
-    kernel /= bandwidth * np.sqrt(2.0 * np.pi)
-    return _degenerate_mass(ps, kernel)
 
 
 def upsilon_measure(ps: PairSpectrum, bin_edges: np.ndarray) -> MeasureHistogram:
@@ -345,34 +360,40 @@ class SumRuleReport:
     gap_stderr_combined: float
 
 
-def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRuleReport:
-    """Compare ensemble-mean total mass with 2 pi <f(H)_{x+e1,x}> site-averaged.
+def sum_rule_sides(record, lattice: LatticeSpec, p: ThermoParams) -> tuple:
+    """Both sides of the total-mass identity for one realization, and the right side's scale.
 
-    records are realizations from ensemble.realization_pair_spectrum: the
-    left side is each one's gamma_mass plus its tangent atom, the right side
-    reads its eigensystem.
-    With hopping amplitude -1 the identity reads
-        Sigma(R) = +2 pi (1/|Lambda|) sum_x Re <delta_{x+e1}, f(H) delta_x>,
-    exact per realization up to wrap-around corrections that vanish rapidly
-    with L.  Needs the periodic box; translation covariance has no dirichlet
-    analogue.
+    record is a realization from ensemble.realization_pair_spectrum.  The left
+    side is its gamma_mass plus its tangent atom; the right side is
+        2 pi (1/|Lambda|) sum_x Re <delta_{x+e1}, f(H) delta_x>
+    (hopping amplitude -1), read from its eigensystem as a sum over bands
+    b_k = sum_x Q[x + e1, k] Q[x, k] weighted by f(E_k), and an out-of-box
+    neighbour adds nothing.  The scale, the same sum of f(E_k) |b_k|, bounds
+    the right side's rounding, which the left side's nonnegative terms do not
+    need.  On open boxes the identity is exact per realization; on periodic
+    ones it misses the twist stiffness, which vanishes rapidly with L.
+    """
+    ps, data = record.pairs, record.spectral
+    q = data.vectors
+    band = np.einsum("xk,xk->k", _shifted_rows(q, lattice.neighbor_shift(0, +1)), q)
+    f = fermi(data.energies, p)
+    norm = 2.0 * np.pi / lattice.site_count
+    return (gamma_mass(ps, p) + _tangent_atom(ps, p), norm * float(band @ f),
+            norm * float(np.abs(band) @ f))
+
+
+def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRuleReport:
+    """Compare the ensemble means of the sum_rule_sides of a periodic box.
+
+    Each realization misses the twist stiffness there, so the gap is compared
+    with the ensemble's standard error rather than with rounding.
     """
     if lattice.boundary != PERIODIC:
-        raise ValueError("sum rule requires periodic boundary")
-    forward = lattice.neighbor_shift(0, +1)
-    lhs, rhs = [], []
-    for record in records:
-        ps, data = record.pairs, record.spectral
-        lhs.append(gamma_mass(ps, p) + _tangent_atom(ps, p))
-        # sum_x f(H)[x + e1, x] = sum_k f_k sum_x Q[x + e1, k] Q[x, k]: one band, not f(H)
-        q = data.vectors
-        band = np.einsum("xk,xk->k", q[forward], q) @ fermi(data.energies, p)
-        rhs.append(2.0 * np.pi * float(band) / lattice.site_count)
-    lhs = np.array(lhs)
-    rhs = np.array(rhs)
+        raise ValueError("sum rule ensemble comparison requires periodic boundary")
     n = len(records)
     if n < 2:
         raise ValueError("sum rule needs at least 2 realizations for a stderr")
+    lhs, rhs, _ = np.array([sum_rule_sides(r, lattice, p) for r in records]).T
     root_n = np.sqrt(n)
     return SumRuleReport(
         lhs_mean=float(lhs.mean()),
@@ -383,9 +404,14 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
     )
 
 
-def high_t_ceiling(temperature: float, upsilon_total, psi_total):
-    """Largest Sigma(R) allowed at T: (pi / 4T)(Upsilon + Psi) plus a 1e-12 relative slack."""
-    envelope = np.pi / (4.0 * temperature) * (upsilon_total + psi_total)
+def high_t_ceiling(temperature, velocity_norm2):
+    """Largest Sigma(R) allowed at T: (pi / 4T) velocity_norm2 plus a 1e-12 relative slack.
+
+    velocity_norm2 is ||v||_F^2 / |Lambda|.  Every pair weight, and (-f)' on
+    the atom, is at most 1/(4T), and the masses (pi / |Lambda|) |v_nm|^2 of
+    all ordered pairs sum to pi Upsilon(R) + Psi(R) = pi ||v||_F^2 / |Lambda|.
+    """
+    envelope = np.pi / (4.0 * temperature) * velocity_norm2
     return envelope + 1e-12 * np.maximum(envelope, 1.0)
 
 

@@ -16,12 +16,14 @@ import numpy as np
 from .conductivity import (
     MeasureHistogram,
     PairSpectrum,
+    atom_mass,
     conductivity_measure,
     frequency_bins,
+    gamma_mass,
     high_t_ceiling,
     pair_spectrum,
-    psi_diagonal,
-    upsilon_measure,
+    psi_total,
+    upsilon_total,
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
 from .lattice import LatticeSpec
@@ -102,8 +104,8 @@ def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray) -> RealizationMeas
         "sigma_total": total,
         "atom_mass": sigma.atom_at_zero,
         "gamma_mass": sigma.binned_total(),
-        "upsilon_total": upsilon_measure(ps, bin_edges).total(),
-        "psi_total": psi_diagonal(ps).total(),
+        "upsilon_total": upsilon_total(ps),
+        "psi_total": psi_total(ps),
         "near_zero_mass": near,
         "near_zero_fraction": near / total if total > 0 else 0.0,
     }
@@ -169,38 +171,29 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
 
 
 def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: float,
-                      t_grid, bin_edges: np.ndarray | None = None,
-                      n: int = 32) -> SweepTable:
+                      t_grid, n: int = 32) -> SweepTable:
     """Scalar summaries versus temperature, with the per-realization bounds enforced.
 
     Pair spectra are computed once and reused at every grid point (common
-    random numbers).  At each T the per-realization inequalities
-    Sigma(R) <= (pi/4T)(Upsilon(R) + Psi(R)) and Gamma(R) > 0 are checked and
-    their outcomes recorded per row.
+    random numbers), and every total is read from them unbinned.  At each T
+    the per-realization inequalities Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda|
+    and Gamma(R) > 0 are checked and their outcomes recorded per row;
+    envelope_mean is the mean of (pi/4) ||v||_F^2 / |Lambda| = (pi Upsilon +
+    Psi) / 4, the bound on T Sigma(R).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("temperature grid must be positive and strictly increasing")
-    bounds = spectral_bounds(spec, lattice)
-    if bin_edges is None:
-        bin_edges = frequency_bins(bounds, lattice.site_count)
     spectra = _pair_spectra(lattice, spec, n, lambda ps: ps)
-
-    upsilon_tot = np.array([upsilon_measure(ps, bin_edges).total() for ps in spectra])
-    psi_tot = np.array([psi_diagonal(ps).total() for ps in spectra])
+    velocity_norm2 = np.array([upsilon_total(ps) + psi_total(ps) / np.pi for ps in spectra])
 
     table = SweepTable(axis="temperature", grid=t_grid,
                        meta={"realizations": n, "fermi_level": fermi_level})
     for t_value in t_grid:
         p = ThermoParams(temperature=float(t_value), fermi_level=fermi_level)
-        sigma_tot, gamma_tot, atom = [], [], []
-        for ps in spectra:
-            sigma = conductivity_measure(ps, p, bin_edges)
-            sigma_tot.append(sigma.total())
-            gamma_tot.append(sigma.binned_total())
-            atom.append(sigma.atom_at_zero)
-        sigma_tot = np.array(sigma_tot)
-        gamma_tot = np.array(gamma_tot)
+        gamma_tot = np.array([gamma_mass(ps, p) for ps in spectra])
+        atom = np.array([atom_mass(ps, p) for ps in spectra])
+        sigma_tot = gamma_tot + atom
         s_mean, s_err = _mean_stderr(sigma_tot)
         g_mean, g_err = _mean_stderr(gamma_tot)
         table.rows.append({
@@ -211,9 +204,9 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
             "gamma_mass_stderr": float(g_err),
             "atom_mass_mean": float(np.mean(atom)),
             "t_times_sigma": float(t_value * s_mean),
-            "envelope_mean": float(np.pi / 4.0 * np.mean(upsilon_tot + psi_tot)),
+            "envelope_mean": float(np.pi / 4.0 * np.mean(velocity_norm2)),
             "high_t_bound_ok": bool(np.all(
-                sigma_tot <= high_t_ceiling(t_value, upsilon_tot, psi_tot))),
+                sigma_tot <= high_t_ceiling(t_value, velocity_norm2))),
             "gamma_positive": bool(np.all(gamma_tot > 0.0)),
         })
     return table

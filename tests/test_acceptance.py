@@ -115,8 +115,7 @@ def test_criterion_2_per_realization_inequalities():
             min_mass = min(min_mass, sigma.bin_mass.min(), sigma.atom_at_zero)
             report = sandwich_check(sigma, upsilon, p, ps.bounds)
             violations += report.violations
-            envelope = (np.pi / (4 * t_value)
-                        * (upsilon.total() + psi_total))
+            envelope = (np.pi * upsilon.total() + psi_total) / (4 * t_value)
             envelope_ok = envelope_ok and sigma.total() <= envelope * (1 + 1e-12)
     ok = violations == 0 and min_mass >= 0.0 and envelope_ok
     _report(2, ok,
@@ -156,7 +155,7 @@ def test_criterion_4_high_temperature_vanishing():
     ok = decreasing and bound_ok and per_realization_ok
     _report(4, ok,
             f"mean Sigma(R) decreasing over T in {grid}: {decreasing}; "
-            f"T*Sigma below (pi/4) mean(Upsilon+Psi) + 3 stderr at every "
+            f"T*Sigma below (pi/4) mean ||v||_F^2/|Lambda| + 3 stderr at every "
             f"point: {bound_ok}")
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aclab import (
     DisorderSpec,
@@ -22,7 +22,15 @@ from aclab import (
     sum_rule_mass,
     upsilon_measure,
 )
-from aclab.conductivity import _bin_sum, _mirror_bin
+from aclab.conductivity import (
+    _bin_sum,
+    _mirror_bin,
+    atom_mass,
+    gamma_mass,
+    high_t_ceiling,
+    psi_total,
+    upsilon_total,
+)
 from aclab.spectral import BOUNDS_SLACK
 
 from conftest import MASTER_SEED, lattices, make_pair_spectrum, plane_wave_atom
@@ -540,18 +548,18 @@ class TestConvolution:
 
 class TestHighTemperatureEnvelope:
     def test_per_realization_bound_and_vanishing(self):
+        # every pair weight and (-f)' is at most 1/4T: T Sigma(R) <= (pi Upsilon + Psi) / 4
         lattice = LatticeSpec(1, 16)
         disorder = DisorderSpec(strength=1.0, seed=55)
         _, ps = make_pair_spectrum(lattice, disorder)
         edges = frequency_bins(ps.bounds, ps.site_count)
-        upsilon_total = upsilon_measure(ps, edges).total()
-        psi_total = psi_diagonal(ps).total()
+        velocity_norm2 = upsilon_total(ps) + psi_total(ps) / np.pi
         totals = []
         for t_value in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
             p = ThermoParams(t_value, 0.0)
             total = conductivity_measure(ps, p, edges).total()
-            envelope = np.pi / (4 * t_value) * (upsilon_total + psi_total)
-            assert total <= envelope * (1 + 1e-12)
+            assert total <= np.pi / (4 * t_value) * velocity_norm2 * (1 + 1e-12)
+            assert total <= high_t_ceiling(t_value, velocity_norm2)
             totals.append(total)
         assert np.all(np.diff(totals) < 0)
 
@@ -564,3 +572,27 @@ class TestHighTemperatureEnvelope:
             for t_value in (0.5, 1.0, 2.0):
                 sigma = conductivity_measure(ps, ThermoParams(t_value, 0.0), edges)
                 assert sigma.binned_total() > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.sampled_from([0.0, 1.0, 5.0]), st.sampled_from([0.0, 0.25, 16.0]),
+       st.integers(0, 2**32 - 1))
+@example(LatticeSpec(1, 2, "periodic"), 0.0, 0.25, 0)  # every |v|^2 is 0
+@example(LatticeSpec(2, 4, "periodic"), 0.0, 0.0, 0)   # degenerate mass, T = 0 atom
+@example(LatticeSpec(3, 4, "dirichlet"), 5.0, 16.0, 0)
+def test_totals_from_the_table_match_the_binned_measures(lattice, strength, temperature,
+                                                         seed):
+    # the unbinned totals every sweep and check reads, against the histograms'
+    # totals, and Upsilon + Psi / pi against ||A||_F^2 / |Lambda| by Parseval
+    _, ps = make_pair_spectrum(lattice, DisorderSpec(strength=strength, seed=seed))
+    p = ThermoParams(temperature, 0.1)
+    assume(temperature > 0 or np.abs(ps.energies - p.fermi_level).min() > ps.eps_deg)
+    edges = frequency_bins(ps.bounds, ps.site_count)
+    hop = (1j * build_velocity(lattice)).real
+    for table, other in [
+        (upsilon_total(ps), upsilon_measure(ps, edges).total()),
+        (psi_total(ps), psi_diagonal(ps).total()),
+        (gamma_mass(ps, p) + atom_mass(ps, p), conductivity_measure(ps, p, edges).total()),
+        (upsilon_total(ps) + psi_total(ps) / np.pi, np.vdot(hop, hop) / ps.site_count),
+    ]:
+        assert abs(table - other) <= 1e-12 * max(abs(table), abs(other))

@@ -1,26 +1,31 @@
-"""The verify battery's commutator-moment check of the pair table.
+"""The verify battery's exact checks, and the faults each of them must catch.
 
 (ad_H^k v)_nm = nu_nm^k v_nm, so the stencil's ||ad_H^k A||_F^2 must equal
 the table's sum of nu^2k |v|^2 on every box, and any corruption of the table,
-its energies or the eigenvectors it came from must break the equality.
+its energies or the eigenvectors it came from must break the equality.  Every
+pair weight is at most 1/4T, so Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| with
+the norm read from the lattice; and on open boxes the total mass equals
+2 pi <f(H)_{x+e1,x}> per realization.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aclab import DisorderSpec, LatticeSpec, ThermoParams, pair_spectrum
 from aclab.config import RunConfig
-from aclab.verify import _Context, check_commutator_moments, run_verify
+from aclab.verify import _Context, check_commutator_moments, check_high_t_bound, \
+    check_sum_rule, run_verify
 
 from conftest import MASTER_SEED, lattices
 
 
-def _config(lattice, strength, seed=MASTER_SEED, realizations=2):
+def _config(lattice, strength, seed=MASTER_SEED, realizations=2,
+            thermo=ThermoParams(1.0, 0.2)):
     return RunConfig(lattice=lattice, disorder=DisorderSpec(strength=strength, seed=seed),
-                     thermo=ThermoParams(1.0, 0.2), ensemble={"realizations": realizations},
+                     thermo=thermo, ensemble={"realizations": realizations},
                      output={"directory": "unused"})
 
 
@@ -101,3 +106,59 @@ def test_verify_passes_commutator_moments_on_clean_periodic_boxes(lattice):
     # realizations give a zero stderr), so only this check is asserted
     checks = run_verify(_config(lattice, 0.0, realizations=4)).checks
     assert next(c for c in checks if c.name == "commutator_moments").status == "pass"
+
+
+def _scaled_atom(factor):
+    def fault(record, lattice):
+        return dataclasses.replace(record.pairs,
+                                   degenerate_abs2=factor * record.pairs.degenerate_abs2)
+    return fault
+
+
+CHECKS = {"high_t_bound": check_high_t_bound, "sum_rule": check_sum_rule,
+          "commutator_moments": check_commutator_moments}
+# fault: (corruption, box, disorder strength, the checks it must fail).  On the
+# clean ring all mass is degenerate and the atom's (-f)' sits just under 1/4T;
+# sum_rule fails on every clean periodic box, so it is not asked there.
+FAULT_MATRIX = {
+    "atom-x1.05-ring": (_scaled_atom(1.05), RING, 0.0, {"high_t_bound", "commutator_moments"}),
+    "atom-x1.5-ring": (_scaled_atom(1.5), RING, 0.0, {"high_t_bound", "commutator_moments"}),
+    "atom-x3-ring": (_scaled_atom(3.0), RING, 0.0, {"high_t_bound", "commutator_moments"}),
+    "doubled-ring": (_doubled, RING, 1.0, {"high_t_bound", "commutator_moments"}),
+    "doubled-d1L12-dirichlet": (_doubled, LatticeSpec(1, 12, "dirichlet"), 1.0,
+                                {"high_t_bound", "sum_rule", "commutator_moments"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_MATRIX))
+def test_fault_matrix(case):
+    fault, lattice, strength, must_fail = FAULT_MATRIX[case]
+    ctx = _Context(_config(lattice, strength))
+    assert all(CHECKS[name](ctx, 2).status == "pass" for name in must_fail)
+    ctx.records = [dataclasses.replace(r, pairs=fault(r, lattice)) for r in ctx.records]
+    assert {name: CHECKS[name](ctx, 2).status for name in must_fail} == dict.fromkeys(
+        must_fail, "fail")
+
+
+@pytest.mark.parametrize("lattice", [LatticeSpec(2, 8), LatticeSpec(3, 4), LatticeSpec(1, 2),
+                                     LatticeSpec(2, 2), LatticeSpec(3, 2)],
+                         ids=["d2L8", "d3L4", "d1L2", "d2L2", "d3L2"])
+def test_high_t_bound_holds_on_clean_periodic_boxes(lattice):
+    # the atom carries all the mass here; at L = 2 the doubled bonds cancel, A = 0
+    # and the ceiling is the 1e-12 slack alone
+    assert check_high_t_bound(_Context(_config(lattice, 0.0)), 2).status == "pass"
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices().map(lambda lattice: dataclasses.replace(lattice, boundary="dirichlet")),
+       st.sampled_from([0.0, 1.0, 5.0]), st.sampled_from([0.0, 0.05, 1.0, 16.0]),
+       st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))
+@example(LatticeSpec(1, 12, "dirichlet"), 1.0, 0.0, 0.3, 0)
+@example(LatticeSpec(2, 2, "dirichlet"), 0.0, 0.0, 8.0, 0)  # every level full: rhs is rounding
+@example(LatticeSpec(3, 6, "dirichlet"), 5.0, 0.05, 0.3, 0)
+def test_sum_rule_is_exact_on_open_boxes(lattice, strength, temperature, mu, seed):
+    # the T = 0 measure is defined only with mu off every level
+    ctx = _Context(_config(lattice, strength, seed, thermo=ThermoParams(temperature, mu)))
+    assume(temperature > 0 or all(np.abs(ps.energies - mu).min() > ps.eps_deg
+                                  for ps in ctx.spectra))
+    assert check_sum_rule(ctx, 2).status == "pass"
