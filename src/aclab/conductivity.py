@@ -13,18 +13,33 @@ at the degeneracy threshold eps_deg, and every measure reads the split:
   degenerate_rows, degenerate_cols (int32) and degenerate_abs2.  They feed
   the zero-frequency atom and the diagonal measure.
 
-No n x n array outlives pair_spectrum.  Frequency histograms are symmetric
-grids about zero with the atom stored outside the bin array; bins accumulate
-the stored pairs and are mirrored, so evenness holds bit for bit.  Totals are
-read from the split unbinned (gamma_mass, atom_mass, upsilon_total,
-psi_total), so a histogram is built only where its bins are used.
+No n x n array outlives pair_spectrum.  A PairSpectrum is a block: the
+tables of k >= 1 realizations of one lattice and one set of bounds, back to
+back, with rows and cols indexing the block's energies and pair_offsets and
+degenerate_offsets marking where each realization's pairs begin.
+pair_spectrum builds a block of one, and join concatenates consecutive
+tables into a block of up to BLOCK_BYTES; a table larger than that stays a
+block of one and shares its arrays.  The eigensolve stays per realization;
+only the measures read blocks.
+
+Every measure and total takes a block and returns one value, or one row of
+bins, per realization.  Totals are .sum() over each realization's own slice,
+and bins come from one bincount over (realization, bin), which adds each
+bin's pairs in table order, so a realization's numbers do not change by a
+bit when it shares a block.  A block keeps the bin index of the last
+frequency grid it was binned on, for every measure on that grid to reuse.
+Frequency histograms are symmetric grids about zero with the atom stored
+outside the bin array; bins accumulate the stored pairs and are mirrored, so
+evenness holds bit for bit.  Totals are read from the split unbinned
+(gamma_mass, atom_mass, upsilon_total, psi_total), so a histogram is built
+only where its bins are used.
 
 Trace per unit volume is realized as Tr / site_count throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +50,10 @@ from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weig
 DEGENERACY_SCALE = 1e-10
 DECOMPOSITION_TOL = 1e-12  # binned against unbinned Gamma mass, relative
 CONVOLUTION_TOL = 1e-8     # direct against half-tanh thermal bins, relative
+# Pair-table bytes joined into one block: a d=1 L=32 table is 12.5 kB, so a
+# block holds 10 of them, and a block's join and measure temporaries stay
+# well under 1 MB.
+BLOCK_BYTES = 128 * 1024
 
 
 def degeneracy_threshold(bounds: tuple[float, float]) -> float:
@@ -44,7 +63,12 @@ def degeneracy_threshold(bounds: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class PairSpectrum:
-    """Eigenpair table of one realization, split at eps_deg (see the module docstring)."""
+    """Eigenpair tables of k >= 1 realizations split at eps_deg (see the module docstring).
+
+    Realization r owns energies[r n : (r + 1) n], the pairs
+    pair_offsets[r] : pair_offsets[r + 1] and the degenerate pairs
+    degenerate_offsets[r] : degenerate_offsets[r + 1].
+    """
 
     energies: np.ndarray
     rows: np.ndarray
@@ -56,52 +80,120 @@ class PairSpectrum:
     degenerate_abs2: np.ndarray
     site_count: int
     bounds: tuple[float, float]
+    pair_offsets: np.ndarray
+    degenerate_offsets: np.ndarray
+    # the flat (realization, half bin) index of the last frequency grid binned
+    _bin_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def eps_deg(self) -> float:
         return degeneracy_threshold(self.bounds)
 
+    @property
+    def count(self) -> int:
+        """Number of realizations in the block."""
+        return len(self.pair_offsets) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.energies, self.rows, self.cols, self.nu, self.velocity_abs2,
+            self.degenerate_rows, self.degenerate_cols, self.degenerate_abs2))
+
+
+def tables_per_block(table: PairSpectrum) -> int:
+    """How many tables of this size one block joins: as many as fit in BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // table.nbytes)
+
+
+def join(tables: list) -> PairSpectrum:
+    """One block of consecutive single-realization tables of one lattice and bounds.
+
+    A block of one shares its table's arrays; only its bin index is its own,
+    so that index is released with the block, not kept with the table.
+    """
+    first = tables[0]
+    if len(tables) == 1:
+        return replace(first)
+    if any(t.count != 1 or t.site_count != first.site_count or t.bounds != first.bounds
+           for t in tables):
+        raise ValueError("a block joins single tables of one lattice and one set of bounds")
+    n = first.site_count
+
+    def shifted(name):  # index the block's energies; a Python int keeps int32
+        return np.concatenate([getattr(t, name) + r * n for r, t in enumerate(tables)])
+
+    def joined(name):
+        return np.concatenate([getattr(t, name) for t in tables])
+
+    return PairSpectrum(
+        energies=joined("energies"),
+        rows=shifted("rows"),
+        cols=shifted("cols"),
+        nu=joined("nu"),
+        velocity_abs2=joined("velocity_abs2"),
+        degenerate_rows=shifted("degenerate_rows"),
+        degenerate_cols=shifted("degenerate_cols"),
+        degenerate_abs2=joined("degenerate_abs2"),
+        site_count=n,
+        bounds=first.bounds,
+        pair_offsets=np.cumsum([0] + [t.nu.size for t in tables]),
+        degenerate_offsets=np.cumsum([0] + [t.degenerate_abs2.size for t in tables]),
+    )
+
+
+def blocks_of(records: list):
+    """(block, records) for consecutive runs of realization records, each run's tables joined.
+
+    Yields one block at a time, so only one joined copy is alive.
+    """
+    per = tables_per_block(records[0].pairs)
+    for start in range(0, len(records), per):
+        group = records[start:start + per]
+        yield join([r.pairs for r in group]), group
+
 
 @dataclass
 class MeasureHistogram:
-    """Binned finite measure with a separately stored atom at zero.
+    """Binned finite measures of the k realizations of a block, atoms stored apart.
 
-    Frequency measures use a symmetric grid with zero on a bin edge; the
-    energy-axis variant (diagonal measure) reuses the container with
-    meta["axis"] == "energy".
+    bin_mass holds one row of bins per realization and atom_at_zero one atom
+    each.  Frequency measures use a symmetric grid with zero on a bin edge;
+    the energy-axis variant (diagonal measure) reuses the container with
+    meta["axis"] == "energy".  Every total is one value per realization.
     """
 
     bin_edges: np.ndarray
     bin_mass: np.ndarray
-    atom_at_zero: float = 0.0
+    atom_at_zero: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    def binned_total(self) -> float:
-        return float(self.bin_mass.sum())
+    def binned_total(self) -> np.ndarray:
+        return self.bin_mass.sum(axis=-1)
 
-    def total(self) -> float:
+    def total(self) -> np.ndarray:
         return self.atom_at_zero + self.binned_total()
 
     def _check_symmetric(self):
-        n = len(self.bin_mass)
+        n = self.bin_mass.shape[-1]
         if n % 2 or self.bin_edges[n // 2] != 0.0:
             raise ValueError("histogram is not a symmetric frequency grid")
 
-    def mass_outside(self, diameter: float) -> float:
+    def mass_outside(self, diameter: float) -> np.ndarray:
         """Total mass in bins lying entirely outside [-diameter, diameter]."""
         self._check_symmetric()
         outside = self.bin_edges[:-1] >= diameter
-        return float(self.bin_mass[outside | outside[::-1]].sum())
+        return self.bin_mass[..., outside | outside[::-1]].sum(axis=-1)
 
-    def near_zero_mass(self) -> float:
+    def near_zero_mass(self) -> np.ndarray:
         """Atom plus the two bins adjacent to zero (collapse diagnostic)."""
         self._check_symmetric()
-        mid = len(self.bin_mass) // 2
-        return self.atom_at_zero + float(self.bin_mass[mid - 1] + self.bin_mass[mid])
+        mid = self.bin_mass.shape[-1] // 2
+        return self.atom_at_zero + (self.bin_mass[..., mid - 1] + self.bin_mass[..., mid])
 
 
 def frequency_bins(bounds: tuple[float, float], site_count: int,
@@ -148,7 +240,7 @@ def pair_spectrum(data: SpectralData, lattice: LatticeSpec) -> PairSpectrum:
     strict lower triangle has nu >= 0, and a pair above the diagonal is
     degenerate exactly when its mirror is: both halves of the split come from
     the triangle.  The measures read the split; none compares a pair
-    frequency with eps_deg again.
+    frequency with eps_deg again.  The result is a block of one.
     """
     q = data.vectors
     n = lattice.site_count
@@ -189,7 +281,15 @@ def pair_spectrum(data: SpectralData, lattice: LatticeSpec) -> PairSpectrum:
         degenerate_abs2=abs2[degenerate_rows, degenerate_cols],
         site_count=data.site_count,
         bounds=bounds,
+        pair_offsets=np.array([0, nu.size]),
+        degenerate_offsets=np.array([0, degenerate_rows.size]),
     )
+
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """.sum() of each realization's slice of values: a view, so a block changes no bit."""
+    bounds = offsets.tolist()
+    return np.array([values[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 def _pair_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
@@ -198,21 +298,22 @@ def _pair_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
     return (np.pi / ps.site_count) * ps.velocity_abs2 * weights
 
 
-def _degenerate_mass(ps: PairSpectrum, values: np.ndarray) -> float:
-    """(pi / site_count) sum of |v|^2 * values over the degenerate pairs."""
-    return np.pi / ps.site_count * float((ps.degenerate_abs2 * values).sum())
+def _degenerate_mass(ps: PairSpectrum, values) -> np.ndarray:
+    """(pi / site_count) sum of |v|^2 * values over each realization's degenerate pairs."""
+    return np.pi / ps.site_count * _row_sums(ps.degenerate_abs2 * values,
+                                             ps.degenerate_offsets)
 
 
-def _tangent_atom(ps: PairSpectrum, p: ThermoParams) -> float:
+def _tangent_atom(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
     """Degenerate pairs at pair_weight's nu -> 0 limit: (-f)'(midpoint) at T > 0, 0 at T = 0."""
     if p.temperature == 0.0:
-        return 0.0
+        return np.zeros(ps.count)
     e = ps.energies
     midpoints = 0.5 * (e[ps.degenerate_rows] + e[ps.degenerate_cols])
     return _degenerate_mass(ps, fermi_derivative_neg(midpoints, p))
 
 
-def _zero_temperature_atom(ps: PairSpectrum, p: ThermoParams) -> float:
+def _zero_temperature_atom(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
     # Gaussian-kernel estimate of the diagonal-measure density at mu.
     dos_width = (ps.bounds[1] - ps.bounds[0]) / (2 * int(np.ceil(np.sqrt(ps.site_count))))
     bandwidth = 4.0 * dos_width
@@ -223,22 +324,23 @@ def _zero_temperature_atom(ps: PairSpectrum, p: ThermoParams) -> float:
     return _degenerate_mass(ps, kernel)
 
 
-def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> float:
+def gamma_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
     """Unbinned dissipative mass 2 (pi / site_count) sum |v|^2 w over the nu > eps_deg pairs.
 
     The factor 2 counts the mirrored nu < -eps_deg partners; a measure's
     binned_total() must reproduce it up to summation order.
     """
-    return 2.0 * float(_pair_mass(ps, p).sum())
+    return 2.0 * _row_sums(_pair_mass(ps, p), ps.pair_offsets)
 
 
-def atom_mass(ps: PairSpectrum, p: ThermoParams) -> float:
+def atom_mass(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
     """Zero-frequency atom of the conductivity measure, fed by the degenerate pairs.
 
     For T > 0 it is the tangent atom, weight (-f)'(midpoint).  At T = 0 it is
     the smoothed diagonal-measure density at mu (bandwidth 4 DOS bin widths,
     an estimator choice), and the Fermi level must stay farther than eps_deg
-    from every eigenvalue: the measure is not defined on that exceptional set.
+    from every eigenvalue of the block: the measure is not defined on that
+    exceptional set.
     """
     if p.temperature > 0.0:
         return _tangent_atom(ps, p)
@@ -250,63 +352,87 @@ def atom_mass(ps: PairSpectrum, p: ThermoParams) -> float:
     return _zero_temperature_atom(ps, p)
 
 
-def upsilon_total(ps: PairSpectrum) -> float:
+def upsilon_total(ps: PairSpectrum) -> np.ndarray:
     """Total of upsilon_measure: 2 sum |v|^2 / site_count over the nu > eps_deg pairs."""
-    return 2.0 * float(ps.velocity_abs2.sum()) / ps.site_count
+    return 2.0 * _row_sums(ps.velocity_abs2, ps.pair_offsets) / ps.site_count
 
 
-def psi_total(ps: PairSpectrum) -> float:
+def psi_total(ps: PairSpectrum) -> np.ndarray:
     """Total of psi_diagonal: (pi / site_count) sum |v|^2 over the degenerate pairs."""
     return _degenerate_mass(ps, 1.0)
 
 
-def _bin_sum(values: np.ndarray, weights: np.ndarray,
-             bin_edges: np.ndarray) -> np.ndarray:
-    """np.histogram(values, bin_edges, weights=weights)[0] by one searchsorted and one bincount.
+def _bin_index(values: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+    """The bin np.histogram(values, bin_edges) puts each value in, by one searchsorted.
 
-    Same bins: half-open [e_i, e_i+1) with the last one closed, and values
-    outside [e_0, e_-1] dropped.  Each bin sums its weights in input order.
+    Same bins: half-open [e_i, e_i+1) with the last one closed.  A value
+    below the first edge gets -1, one above the last gets len(bin_edges) - 1.
     """
-    bin_edges = np.asarray(bin_edges, dtype=float)
     if np.any(bin_edges[:-1] > bin_edges[1:]):
         raise ValueError("bin edges must increase monotonically")
-    n_bins = len(bin_edges) - 1
     index = np.searchsorted(bin_edges, values, side="right") - 1
-    index[values == bin_edges[-1]] = n_bins - 1
-    inside = (index >= 0) & (index < n_bins)
-    if not inside.all():
-        index, weights = index[inside], weights[inside]
-    return np.bincount(index, weights, minlength=n_bins).astype(float, copy=False)
+    index[values == bin_edges[-1]] = len(bin_edges) - 2
+    return index
 
 
-def _mirror_bin(values: np.ndarray, pair_mass: np.ndarray,
-                bin_edges: np.ndarray) -> np.ndarray:
-    """Bin the nu > eps_deg pairs (frequencies values) on the positive half and mirror.
+def _flat_index(index: np.ndarray, offsets: np.ndarray, n_bins: int) -> np.ndarray:
+    """realization * n_bins + index, the (realization, bin) index of one bincount."""
+    if len(offsets) > 2:
+        index = index + n_bins * np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return index
 
-    pair_mass must come from a mass symmetric in (n, m), so the mirrored copy
-    equals the negative-frequency pairs exactly.  Eigenvalues may lie up to
-    BOUNDS_SLACK past each deterministic bound, so a frequency within twice
-    that of the top edge goes into the last bin; the edges do not move.
+
+def _bin_rows(flat_index: np.ndarray, weights: np.ndarray, rows: int,
+              n_bins: int) -> np.ndarray:
+    """One row of n_bins per realization; each bin adds its weights in input order."""
+    return np.bincount(flat_index, weights, minlength=rows * n_bins).reshape(rows, n_bins)
+
+
+def _half_index(nu: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+    """Bin of each nu > eps_deg pair on the positive half of a symmetric frequency grid.
+
+    Eigenvalues may lie up to BOUNDS_SLACK past each deterministic bound, so
+    a frequency within twice that of the top edge goes into the last bin; the
+    edges do not move.
     """
     n_bins = len(bin_edges) - 1
     if n_bins % 2 or bin_edges[n_bins // 2] != 0.0:
         raise ValueError("frequency bins must be symmetric with zero on an edge")
     top = bin_edges[-1]
-    largest = values.max(initial=0.0)
+    largest = nu.max(initial=0.0)
     if largest > top + 2.0 * BOUNDS_SLACK * max(1.0, top):
         raise ValueError(
             f"pair frequency {largest:.6g} beyond the bin range {top:.6g}; enlarge nu_max"
         )
     if largest > top:
-        values = np.minimum(values, top)
-    half_edges = bin_edges[n_bins // 2:]
-    half = _bin_sum(values, pair_mass, half_edges)
-    return np.concatenate([half[::-1], half])
+        nu = np.minimum(nu, top)
+    return _bin_index(nu, bin_edges[n_bins // 2:])
+
+
+def _mirror_bin(ps: PairSpectrum, pair_mass: np.ndarray,
+                bin_edges: np.ndarray) -> np.ndarray:
+    """Bin each realization's nu > eps_deg pairs on the positive half and mirror.
+
+    pair_mass must come from a mass symmetric in (n, m), so the mirrored copy
+    equals the negative-frequency pairs exactly.  The block keeps the bin
+    index of the last grid it was binned on, so the measures of one grid
+    share one searchsorted.
+    """
+    bin_edges = np.asarray(bin_edges, dtype=float)
+    n_half = (len(bin_edges) - 1) // 2
+    key = bin_edges.tobytes()
+    index = ps._bin_index.get(key)
+    if index is None:
+        index = _flat_index(_half_index(ps.nu, bin_edges), ps.pair_offsets, n_half)
+        ps._bin_index.clear()
+        ps._bin_index[key] = index
+    half = _bin_rows(index, pair_mass, ps.count, n_half)
+    return np.concatenate([half[:, ::-1], half], axis=1)
 
 
 def conductivity_measure(ps: PairSpectrum, p: ThermoParams,
                          bin_edges: np.ndarray) -> MeasureHistogram:
-    """Finite-volume conductivity measure of one realization.
+    """Finite-volume conductivity measure of each realization of the block.
 
     Off-degenerate pairs carry (pi / site_count) |v_nm|^2 w(E_n, E_m) at
     nu_nm, with w the Fermi difference quotient; the degenerate pairs feed
@@ -314,7 +440,7 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams,
     """
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
-        bin_mass=_mirror_bin(ps.nu, _pair_mass(ps, p), bin_edges),
+        bin_mass=_mirror_bin(ps, _pair_mass(ps, p), bin_edges),
         atom_at_zero=atom_mass(ps, p),
         meta={"kind": "sigma", "temperature": p.temperature, "fermi_level": p.fermi_level},
     )
@@ -322,11 +448,10 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams,
 
 def upsilon_measure(ps: PairSpectrum, bin_edges: np.ndarray) -> MeasureHistogram:
     """Temperature-independent velocity pair measure; no pi factor, no atom."""
-    mass = _mirror_bin(ps.nu, ps.velocity_abs2 / ps.site_count, bin_edges)
     return MeasureHistogram(
         bin_edges=np.asarray(bin_edges, dtype=float),
-        bin_mass=mass,
-        atom_at_zero=0.0,
+        bin_mass=_mirror_bin(ps, ps.velocity_abs2 / ps.site_count, bin_edges),
+        atom_at_zero=np.zeros(ps.count),
         meta={"kind": "upsilon"},
     )
 
@@ -335,17 +460,22 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
     """Energy-resolved mass of the degenerate (zero-frequency) pairs.
 
     Lives on the energy axis: bin B collects (pi / site_count) |v_nm|^2 over
-    degenerate pairs with E_n in B.  Empty for simple spectra, since a real
-    Hamiltonian has no diagonal velocity matrix elements.
+    degenerate pairs with E_n in B, and a level outside the edges is
+    dropped.  Empty for simple spectra, since a real Hamiltonian has no
+    diagonal velocity matrix elements.
     """
     if bin_edges is None:
         bin_edges = energy_bins(ps.bounds, ps.site_count)
-    mass = _bin_sum(ps.energies[ps.degenerate_rows],
-                    np.pi / ps.site_count * ps.degenerate_abs2, bin_edges)
+    bin_edges = np.asarray(bin_edges, dtype=float)
+    n_bins = len(bin_edges) - 1
+    index = _bin_index(ps.energies[ps.degenerate_rows], bin_edges)
+    mass = np.pi / ps.site_count * ps.degenerate_abs2
+    inside = (index >= 0) & (index < n_bins)
+    index = _flat_index(index, ps.degenerate_offsets, n_bins)
     return MeasureHistogram(
-        bin_edges=np.asarray(bin_edges, dtype=float),
-        bin_mass=mass,
-        atom_at_zero=0.0,
+        bin_edges=bin_edges,
+        bin_mass=_bin_rows(index[inside], mass[inside], ps.count, n_bins),
+        atom_at_zero=np.zeros(ps.count),
         meta={"kind": "psi", "axis": "energy"},
     )
 
@@ -360,26 +490,34 @@ class SumRuleReport:
     gap_stderr_combined: float
 
 
-def sum_rule_sides(record, lattice: LatticeSpec, p: ThermoParams) -> tuple:
-    """Both sides of the total-mass identity for one realization, and the right side's scale.
+def sum_rule_sides(ps: PairSpectrum, records: list, lattice: LatticeSpec,
+                   p: ThermoParams) -> tuple:
+    """Both sides of the total-mass identity per realization of a block, and the right side's scale.
 
-    record is a realization from ensemble.realization_pair_spectrum.  The left
-    side is its gamma_mass plus its tangent atom; the right side is
+    records are the block's realizations, in order, as
+    ensemble.realization_pair_spectrum returns them.  The left side is the
+    block's gamma_mass plus its tangent atom; the right side is
         2 pi (1/|Lambda|) sum_x Re <delta_{x+e1}, f(H) delta_x>
-    (hopping amplitude -1), read from its eigensystem as a sum over bands
+    (hopping amplitude -1), read from each eigensystem as a sum over bands
     b_k = sum_x Q[x + e1, k] Q[x, k] weighted by f(E_k), and an out-of-box
     neighbour adds nothing.  The scale, the same sum of f(E_k) |b_k|, bounds
     the right side's rounding, which the left side's nonnegative terms do not
     need.  On open boxes the identity is exact per realization; on periodic
     ones it misses the twist stiffness, which vanishes rapidly with L.
     """
-    ps, data = record.pairs, record.spectral
-    q = data.vectors
-    band = np.einsum("xk,xk->k", _shifted_rows(q, lattice.neighbor_shift(0, +1)), q)
-    f = fermi(data.energies, p)
+    if len(records) != ps.count:
+        raise ValueError(f"{len(records)} records for a block of {ps.count}")
+    forward = lattice.neighbor_shift(0, +1)
+    rhs, scale = [], []
+    for record in records:
+        q = record.spectral.vectors
+        band = np.einsum("xk,xk->k", _shifted_rows(q, forward), q)
+        f = fermi(record.spectral.energies, p)
+        rhs.append(float(band @ f))
+        scale.append(float(np.abs(band) @ f))
     norm = 2.0 * np.pi / lattice.site_count
-    return (gamma_mass(ps, p) + _tangent_atom(ps, p), norm * float(band @ f),
-            norm * float(np.abs(band) @ f))
+    return (gamma_mass(ps, p) + _tangent_atom(ps, p), norm * np.array(rhs),
+            norm * np.array(scale))
 
 
 def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRuleReport:
@@ -393,7 +531,8 @@ def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRu
     n = len(records)
     if n < 2:
         raise ValueError("sum rule needs at least 2 realizations for a stderr")
-    lhs, rhs, _ = np.array([sum_rule_sides(r, lattice, p) for r in records]).T
+    sides = [sum_rule_sides(block, group, lattice, p) for block, group in blocks_of(records)]
+    lhs, rhs, _ = (np.concatenate(side) for side in zip(*sides))
     root_n = np.sqrt(n)
     return SumRuleReport(
         lhs_mean=float(lhs.mean()),
@@ -417,17 +556,17 @@ def high_t_ceiling(temperature, velocity_norm2):
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Per-bin check of (pi/4T) C Upsilon <= Gamma <= (pi/4T) Upsilon."""
+    """Per-bin check of (pi/4T) C Upsilon <= Gamma <= (pi/4T) Upsilon, one entry per realization."""
 
-    worst_lower: float  # smallest slack of each bound over the bins with Upsilon > 0,
-    worst_upper: float  # as a fraction of the envelope (pi/4T) Upsilon
-    violations: int
-    passed: bool
+    worst_lower: np.ndarray  # smallest slack of each bound over the bins with Upsilon > 0,
+    worst_upper: np.ndarray  # as a fraction of the envelope (pi/4T) Upsilon
+    violations: np.ndarray
+    passed: np.ndarray
 
 
 def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
                    p: ThermoParams, bounds: tuple[float, float]) -> SandwichReport:
-    """Check the thermally scaled pair-measure bounds bin by bin.
+    """Check the thermally scaled pair-measure bounds bin by bin, per realization.
 
     Gamma is sigma with its atom removed, i.e. exactly the bin array.  The
     additive tolerance is 1e-10 (pi/4T) Upsilon(R).  With C = c_mu_t the
@@ -440,16 +579,16 @@ def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
         raise ValueError("sigma and upsilon histograms use different bins")
     prefactor = np.pi / (4.0 * p.temperature)
     c_value = c_mu_t(p, bounds)
-    tol = 1e-10 * prefactor * upsilon.total()
+    tol = (1e-10 * prefactor * upsilon.total())[:, None]
     gamma = sigma.bin_mass
     envelope = prefactor * upsilon.bin_mass
     lower = prefactor * c_value * upsilon.bin_mass - tol
     upper = envelope + tol
-    violations = int(np.sum(gamma < lower) + np.sum(gamma > upper))
+    violations = (gamma < lower).sum(axis=-1) + (gamma > upper).sum(axis=-1)
     held = envelope > 0.0
-    ratio = gamma[held] / envelope[held]
-    worst_lower = float((ratio - c_value).min(initial=np.inf))
-    worst_upper = float((1.0 - ratio).min(initial=np.inf))
+    ratio = np.divide(gamma, envelope, out=np.zeros_like(gamma), where=held)
+    worst_lower = np.where(held, ratio - c_value, np.inf).min(axis=-1)
+    worst_upper = np.where(held, 1.0 - ratio, np.inf).min(axis=-1)
     return SandwichReport(
         worst_lower=worst_lower,
         worst_upper=worst_upper,
@@ -460,10 +599,10 @@ def sandwich_check(sigma: MeasureHistogram, upsilon: MeasureHistogram,
 
 @dataclass(frozen=True)
 class ConvolutionReport:
-    """Direct thermal bins against their exact sum over zero-temperature measures."""
+    """Direct thermal bins against their exact sum over zero-temperature measures, per realization."""
 
-    max_rel_gap: float
-    passed: bool
+    max_rel_gap: np.ndarray
+    passed: np.ndarray
 
 
 def convolution_check(ps: PairSpectrum, p: ThermoParams,
@@ -489,7 +628,7 @@ def convolution_check(ps: PairSpectrum, p: ThermoParams,
     log_2sinh = step + np.log(-np.expm1(-2.0 * step))
     half_tanh = np.exp(log_2sinh - log_2cosh[ps.cols] - log_2cosh[ps.rows])
     mass = np.pi / ps.site_count * ps.velocity_abs2 * half_tanh / ps.nu
-    oracle = _mirror_bin(ps.nu, mass, bin_edges)
-    scale = max(float(direct.max(initial=0.0)), 1e-300)
-    max_rel = float(np.abs(direct - oracle).max(initial=0.0)) / scale
+    oracle = _mirror_bin(ps, mass, bin_edges)
+    scale = np.maximum(direct.max(axis=-1, initial=0.0), 1e-300)
+    max_rel = np.abs(direct - oracle).max(axis=-1, initial=0.0) / scale
     return ConvolutionReport(max_rel_gap=max_rel, passed=max_rel <= CONVOLUTION_TOL)

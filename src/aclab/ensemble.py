@@ -1,7 +1,9 @@
 """Disorder averaging and the parameter sweeps that expose the limit trends.
 
 Every command runs its realizations serially, in index order, through
-``_map_indices``, and reduces them in that order (fixed floating-point
+``_map_indices``, joins their pair tables into blocks of consecutive
+realizations (conductivity.join), measures each block in one pass, and
+reduces the per-realization results in index order (fixed floating-point
 association; documented tolerance 1e-12 on totals).  Sweeps share random
 numbers across grid points: the potential of realization i is the same raw
 draw at every grid value, scaled by the local disorder strength.
@@ -21,8 +23,10 @@ from .conductivity import (
     frequency_bins,
     gamma_mass,
     high_t_ceiling,
+    join,
     pair_spectrum,
     psi_total,
+    tables_per_block,
     upsilon_total,
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
@@ -51,11 +55,11 @@ class Realization:
 
 
 @dataclass(frozen=True)
-class RealizationMeasures:
-    """Per-realization conductivity measure plus its scalar summaries."""
+class BlockMeasures:
+    """Conductivity measures of a block of realizations plus their scalar summaries, one per realization."""
 
     sigma: MeasureHistogram
-    scalars: dict
+    scalars: dict  # name -> array over the block's realizations
 
 
 @dataclass(frozen=True)
@@ -96,20 +100,22 @@ def realization_pair_spectrum(lattice: LatticeSpec, spec: DisorderSpec) -> Reali
                        pairs=pair_spectrum(data, lattice))
 
 
-def _measures_for(ps, p: ThermoParams, bin_edges: np.ndarray) -> RealizationMeasures:
-    sigma = conductivity_measure(ps, p, bin_edges)
+def _measures_for(block: PairSpectrum, p: ThermoParams,
+                  bin_edges: np.ndarray) -> BlockMeasures:
+    sigma = conductivity_measure(block, p, bin_edges)
     near = sigma.near_zero_mass()
     total = sigma.total()
     scalars = {
         "sigma_total": total,
         "atom_mass": sigma.atom_at_zero,
         "gamma_mass": sigma.binned_total(),
-        "upsilon_total": upsilon_total(ps),
-        "psi_total": psi_total(ps),
+        "upsilon_total": upsilon_total(block),
+        "psi_total": psi_total(block),
         "near_zero_mass": near,
-        "near_zero_fraction": near / total if total > 0 else 0.0,
+        "near_zero_fraction": np.divide(near, total, out=np.zeros_like(near),
+                                        where=total > 0),
     }
-    return RealizationMeasures(sigma=sigma, scalars=scalars)
+    return BlockMeasures(sigma=sigma, scalars=scalars)
 
 
 # threads is ignored; perfbench/layers.py wraps this function by name with three arguments.
@@ -117,16 +123,29 @@ def _map_indices(worker, n: int, threads: int) -> list:
     return [worker(i) for i in range(n)]
 
 
-def _pair_spectra(lattice: LatticeSpec, spec: DisorderSpec, n: int, summarize) -> list:
-    """summarize(pair spectrum) of the realizations 0..n-1 of spec.
+def _measured_blocks(lattice: LatticeSpec, spec: DisorderSpec, n: int, measure) -> list:
+    """measure(block) of the realizations 0..n-1 of spec, in blocks of consecutive indices.
 
     Only the pair table leaves the pipeline record, so the eigenvectors are
-    released before any binning.
+    released before any binning.  A block is measured, and released, as soon
+    as it holds tables_per_block tables, so a table too large to share a
+    block is measured before the next eigensolve.
     """
-    def worker(i: int):
-        return summarize(realization_pair_spectrum(lattice, spec.with_index(i)).pairs)
+    results, pending = [], []
 
-    return _map_indices(worker, n, 1)
+    def flush():
+        results.append(measure(join(pending)))
+        pending.clear()
+
+    def worker(i: int):
+        pending.append(realization_pair_spectrum(lattice, spec.with_index(i)).pairs)
+        if len(pending) == tables_per_block(pending[0]):
+            flush()
+
+    _map_indices(worker, n, 1)
+    if pending:
+        flush()
+    return results
 
 
 def _mean_stderr(values: np.ndarray) -> tuple:
@@ -137,10 +156,10 @@ def _mean_stderr(values: np.ndarray) -> tuple:
 
 
 def _scalar_summary(results: list) -> dict:
-    """SCALAR_KEYS -> (mean, stderr) over the realizations, in key order."""
+    """SCALAR_KEYS -> (mean, stderr) over the realizations of every block, in key order."""
     out = {}
     for key in SCALAR_KEYS:
-        mean, stderr = _mean_stderr(np.array([r.scalars[key] for r in results]))
+        mean, stderr = _mean_stderr(np.concatenate([r.scalars[key] for r in results]))
         out[key] = (float(mean), float(stderr))
     return out
 
@@ -153,10 +172,10 @@ def ensemble_average(spec: DisorderSpec, lattice: LatticeSpec, p: ThermoParams,
     bounds = spectral_bounds(spec, lattice)
     if bin_edges is None:
         bin_edges = frequency_bins(bounds, lattice.site_count)
-    results = _pair_spectra(lattice, spec, n,
-                            lambda ps: _measures_for(ps, p, bin_edges))
-    sigma_stack = np.array([r.sigma.bin_mass for r in results])
-    atom_stack = np.array([r.sigma.atom_at_zero for r in results])
+    results = _measured_blocks(lattice, spec, n,
+                               lambda block: _measures_for(block, p, bin_edges))
+    sigma_stack = np.concatenate([r.sigma.bin_mass for r in results])
+    atom_stack = np.concatenate([r.sigma.atom_at_zero for r in results])
     sigma_mean, sigma_stderr = _mean_stderr(sigma_stack)
     atom_mean, atom_stderr = _mean_stderr(atom_stack)
     return EnsembleResult(
@@ -174,25 +193,26 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
                       t_grid, n: int = 32) -> SweepTable:
     """Scalar summaries versus temperature, with the per-realization bounds enforced.
 
-    Pair spectra are computed once and reused at every grid point (common
-    random numbers), and every total is read from them unbinned.  At each T
-    the per-realization inequalities Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda|
-    and Gamma(R) > 0 are checked and their outcomes recorded per row;
-    envelope_mean is the mean of (pi/4) ||v||_F^2 / |Lambda| = (pi Upsilon +
-    Psi) / 4, the bound on T Sigma(R).
+    Pair tables are computed once, joined into blocks, and reused at every
+    grid point (common random numbers), and every total is read from them
+    unbinned.  At each T the per-realization inequalities
+    Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| and Gamma(R) > 0 are checked and
+    their outcomes recorded per row; envelope_mean is the mean of
+    (pi/4) ||v||_F^2 / |Lambda| = (pi Upsilon + Psi) / 4, the bound on
+    T Sigma(R).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("temperature grid must be positive and strictly increasing")
-    spectra = _pair_spectra(lattice, spec, n, lambda ps: ps)
-    velocity_norm2 = np.array([upsilon_total(ps) + psi_total(ps) / np.pi for ps in spectra])
+    blocks = _measured_blocks(lattice, spec, n, lambda block: block)
+    velocity_norm2 = np.concatenate([upsilon_total(b) + psi_total(b) / np.pi for b in blocks])
 
     table = SweepTable(axis="temperature", grid=t_grid,
                        meta={"realizations": n, "fermi_level": fermi_level})
     for t_value in t_grid:
         p = ThermoParams(temperature=float(t_value), fermi_level=fermi_level)
-        gamma_tot = np.array([gamma_mass(ps, p) for ps in spectra])
-        atom = np.array([atom_mass(ps, p) for ps in spectra])
+        gamma_tot = np.concatenate([gamma_mass(b, p) for b in blocks])
+        atom = np.concatenate([atom_mass(b, p) for b in blocks])
         sigma_tot = gamma_tot + atom
         s_mean, s_err = _mean_stderr(sigma_tot)
         g_mean, g_err = _mean_stderr(gamma_tot)
@@ -235,8 +255,8 @@ def disorder_sweep(lattice: LatticeSpec, p: ThermoParams, lambda_grid,
                        meta={"realizations": n, "temperature": p.temperature,
                              "fermi_level": p.fermi_level})
     for strength in lambda_grid:
-        results = _pair_spectra(lattice, base_spec.with_strength(float(strength)), n,
-                                lambda ps: _measures_for(ps, p, bin_edges))
+        results = _measured_blocks(lattice, base_spec.with_strength(float(strength)), n,
+                                   lambda block: _measures_for(block, p, bin_edges))
         row = {"strength": float(strength)}
         for key, (mean, stderr) in _scalar_summary(results).items():
             row[f"{key}_mean"] = mean

@@ -74,6 +74,28 @@ class LatticeSpec:
         out.setflags(write=False)
         return out
 
+    @functools.cache
+    def bonds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kinetic matrix's nonzero entries: flat indices x * site_count + y and values.
+
+        -1 per nearest-neighbour bond; an L=2 ring meets its neighbour along an
+        axis twice, so that entry is -2.  O(d site_count) memory, read-only and
+        memoized.
+        """
+        n = self.site_count
+        sites = np.arange(n)
+        flat = []
+        for axis in range(self.dimension):
+            for step in (+1, -1):
+                target = self.neighbor_shift(axis, step)
+                inside = target >= 0
+                flat.append(sites[inside] * n + target[inside])
+        index, counts = np.unique(np.concatenate(flat), return_counts=True)
+        values = -counts.astype(float)
+        index.setflags(write=False)
+        values.setflags(write=False)
+        return index, values
+
 
 def build_laplacian(spec: LatticeSpec) -> np.ndarray:
     """Kinetic matrix with -1 on every nearest-neighbour bond.

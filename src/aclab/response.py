@@ -305,8 +305,8 @@ def linear_response_extract(lattice: LatticeSpec, realization, pulse: FieldPulse
     )
 
 
-def absorbed_energy_lr(sigma: MeasureHistogram, pulse: FieldPulse) -> float:
-    """Measure-route absorbed energy 2 pi [atom |Ehat(0)|^2 + sum mass |Ehat|^2]."""
+def absorbed_energy_lr(sigma: MeasureHistogram, pulse: FieldPulse) -> np.ndarray:
+    """Measure-route absorbed energy 2 pi [atom |Ehat(0)|^2 + sum mass |Ehat|^2] per realization."""
     hat0 = abs(pulse.fourier(0.0)) ** 2
     hats = np.abs(pulse.fourier(sigma.centers)) ** 2
-    return 2.0 * np.pi * float(sigma.atom_at_zero * hat0 + (sigma.bin_mass * hats).sum())
+    return 2.0 * np.pi * (sigma.atom_at_zero * hat0 + (sigma.bin_mass * hats).sum(axis=-1))

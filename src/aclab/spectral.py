@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec
-from .lattice import PERIODIC, LatticeSpec, build_laplacian
+from .lattice import PERIODIC, LatticeSpec
 
 RESIDUAL_TOL = 1e-10  # relative eigen residual / orthonormality
 MASS_TOL = 1e-12      # histogram normalization
@@ -59,14 +59,16 @@ class WegnerReport:
 
 
 def build_hamiltonian(lattice: LatticeSpec, potential: np.ndarray) -> np.ndarray:
-    """H = kinetic + diag(potential)."""
+    """H = kinetic + diag(potential), filled from the lattice's bond list."""
     potential = np.asarray(potential, dtype=float)
-    if potential.shape != (lattice.site_count,):
-        raise ValueError(
-            f"potential has shape {potential.shape}, expected ({lattice.site_count},)"
-        )
-    h = build_laplacian(lattice)
-    h[np.diag_indices_from(h)] += potential
+    n = lattice.site_count
+    if potential.shape != (n,):
+        raise ValueError(f"potential has shape {potential.shape}, expected ({n},)")
+    index, values = lattice.bonds()
+    h = np.zeros((n, n))
+    flat = h.reshape(-1)  # a view
+    flat[index] = values
+    flat[::n + 1] += potential  # 0 + V, as on the kinetic matrix's zero diagonal
     return h
 
 
@@ -107,7 +109,8 @@ def eigendecompose(lattice: LatticeSpec, potential: np.ndarray,
     h = build_hamiltonian(lattice, potential)
     if not np.isfinite(potential).all():
         raise ValueError("potential is not finite")
-    scale = max(h.max(), -h.min(), 1.0)  # max |H|, without an n x n temporary
+    # max |H|, read from the diagonal and the bond values rather than from H
+    scale = max(np.abs(potential).max(), -lattice.bonds()[1].min(), 1.0)
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

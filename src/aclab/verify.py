@@ -23,6 +23,7 @@ from .thermo import ThermoParams
 
 MOMENT_TOL = 1e-12  # commutator moments against the pair table, relative to their bound
 SUM_RULE_TOL = 1e-12  # open-box total mass against the hopping trace, relative
+PLACEMENT_TOL = 1e-12  # sigma bins against np.histogram, relative to the largest bin
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,12 @@ def _skip(name, why) -> CheckResult:
 
 
 class _Context:
-    """The config's realizations, built once; each check reads a prefix of them."""
+    """The config's realizations, built once; each check reads a prefix of them.
+
+    The measures read blocks joined from the records (conductivity.blocks_of)
+    one at a time, so no joined copy outlives the check that made it, and a
+    fault injected into the records reaches every check.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -81,17 +87,26 @@ class _Context:
         self.records = ensemble._map_indices(
             lambda i: realization_pair_spectrum(self.lattice, self.disorder.with_index(i)),
             config.ensemble["realizations"], 1)
-        self._sigmas = []
 
     @property
-    def spectra(self) -> list:
-        return [r.pairs for r in self.records]
+    def records(self) -> list:
+        return self._records
+
+    @records.setter
+    def records(self, records: list):
+        self._records = records
+        self._sigmas = {}
+
+    def blocks(self, n: int):
+        """The pair tables of the first n records, joined into blocks, one at a time."""
+        return (block for block, _ in cond.blocks_of(self.records[:n]))
 
     def sigmas(self, n: int) -> list:
-        """Conductivity measures at the config's thermo and bins, one per realization."""
-        for ps in self.spectra[len(self._sigmas):n]:
-            self._sigmas.append(cond.conductivity_measure(ps, self.thermo, self.bin_edges))
-        return self._sigmas[:n]
+        """Conductivity measures at the config's thermo and bins, one per block."""
+        if n not in self._sigmas:
+            self._sigmas[n] = [cond.conductivity_measure(block, self.thermo, self.bin_edges)
+                               for block in self.blocks(n)]
+        return self._sigmas[n]
 
 
 def absorption_oracle(config: RunConfig,
@@ -109,7 +124,7 @@ def absorption_oracle(config: RunConfig,
     ps = realization.pairs
     fine = cond.frequency_bins(ps.bounds, lattice.site_count, bins_per_side=4096)
     sigma = cond.conductivity_measure(ps, config.thermo, fine)
-    return extraction, absorbed_energy_lr(sigma, config.pulse)
+    return extraction, float(absorbed_energy_lr(sigma, config.pulse)[0])
 
 
 def check_velocity_position(ctx: _Context) -> CheckResult:
@@ -154,19 +169,31 @@ def check_commutator_moments(ctx: _Context, n: int = 8) -> CheckResult:
 
 
 def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
-    # The margin is the smallest bin that holds a nu > eps_deg pair; a bin
-    # holding none must be exactly 0, and the atom nonnegative.  A pair past
-    # the top edge by rounding is held by the last bin, as in _mirror_bin.
+    # Every bin holding a nu > eps_deg pair is >= 0, every other bin exactly 0,
+    # and the atom >= 0.  Placement, per realization: each bin against
+    # np.histogram of the same pair masses at their nu (an independent binning:
+    # sorted, summed as differences of a cumulative sum), with nu clamped at the
+    # top edge as _mirror_bin clamps a rounding overrun, at PLACEMENT_TOL of the
+    # largest bin.  The margin is that slack; a negative or stray bin shows in
+    # it too, since np.histogram's bins are >= 0 and empty ones exactly 0.
     half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
-    smallest, stray, atom = np.inf, 0.0, np.inf
-    for ps, sigma in zip(ctx.spectra[:n], ctx.sigmas(n)):
-        counts, _ = np.histogram(np.minimum(ps.nu, half_edges[-1]), bins=half_edges)
-        held = np.concatenate([counts[::-1], counts]) > 0
-        smallest = min(smallest, sigma.bin_mass[held].min(initial=np.inf))
-        stray = max(stray, np.abs(sigma.bin_mass[~held]).max(initial=0.0))
-        atom = min(atom, sigma.atom_at_zero)
-    ok = smallest >= 0.0 and atom >= 0.0 and stray == 0.0
-    return _result("positivity", ok, float(smallest),
+    smallest, stray, atom, gap = np.inf, 0.0, np.inf, 0.0
+    for block, sigma in zip(ctx.blocks(n), ctx.sigmas(n)):
+        mass = cond._pair_mass(block, ctx.thermo)
+        offsets = block.pair_offsets.tolist()
+        for bins, a, b in zip(sigma.bin_mass, offsets[:-1], offsets[1:]):
+            nu = np.minimum(block.nu[a:b], half_edges[-1])
+            counts, _ = np.histogram(nu, bins=half_edges)
+            placed, _ = np.histogram(nu, bins=half_edges, weights=mass[a:b])
+            held = np.concatenate([counts[::-1], counts]) > 0
+            smallest = min(smallest, bins[held].min(initial=np.inf))
+            stray = max(stray, np.abs(bins[~held]).max(initial=0.0))
+            misplaced = np.abs(bins - np.concatenate([placed[::-1], placed])).max()
+            gap = max(gap, misplaced / max(bins.max(), 1e-300))
+        atom = min(atom, sigma.atom_at_zero.min())
+    ok = smallest >= 0.0 and atom >= 0.0 and stray == 0.0 and gap <= PLACEMENT_TOL
+    return _result("positivity", ok, PLACEMENT_TOL - float(gap),
+                   f"largest bin gap from np.histogram over the largest bin {gap:.3e}, "
                    f"smallest mass of a bin holding pairs {smallest:.3e}, atom "
                    f"{atom:.3e}, largest |mass| of an empty bin {stray:.3e}")
 
@@ -176,18 +203,19 @@ def check_support(ctx: _Context, n: int = 8) -> CheckResult:
     wide = cond.frequency_bins(ctx.bounds, ctx.lattice.site_count,
                                nu_max=1.25 * diameter)
     worst = 0.0
-    for ps in ctx.spectra[:n]:
-        hist = cond.conductivity_measure(ps, ctx.thermo, wide)
-        worst = max(worst, hist.mass_outside(diameter))
+    for block in ctx.blocks(n):
+        hist = cond.conductivity_measure(block, ctx.thermo, wide)
+        worst = max(worst, float(hist.mass_outside(diameter).max()))
     return _result("support", worst == 0.0, 0.0 - worst,
                    f"mass beyond the spectral diameter {worst:.3e} (must be exactly 0)")
 
 
 def check_decomposition(ctx: _Context, n: int = 8) -> CheckResult:
     worst = 0.0
-    for ps, sigma in zip(ctx.spectra[:n], ctx.sigmas(n)):
-        exact = cond.gamma_mass(ps, ctx.thermo)
-        worst = max(worst, abs(sigma.binned_total() - exact) / max(exact, 1e-300))
+    for block, sigma in zip(ctx.blocks(n), ctx.sigmas(n)):
+        exact = cond.gamma_mass(block, ctx.thermo)
+        gaps = np.abs(sigma.binned_total() - exact) / np.maximum(exact, 1e-300)
+        worst = max(worst, float(gaps.max()))
     tol = cond.DECOMPOSITION_TOL
     return _result("decomposition", worst <= tol, tol - worst,
                    f"binned vs unbinned Gamma mass: max relative gap {worst:.3e}")
@@ -198,9 +226,9 @@ def check_convolution(ctx: _Context, n: int = 8) -> CheckResult:
     if ctx.thermo.temperature <= 0:
         return _skip(name, "identity needs T > 0")
     worst = 0.0
-    for ps in ctx.spectra[:n]:
-        report = cond.convolution_check(ps, ctx.thermo, ctx.bin_edges)
-        worst = max(worst, report.max_rel_gap)
+    for block in ctx.blocks(n):
+        report = cond.convolution_check(block, ctx.thermo, ctx.bin_edges)
+        worst = max(worst, float(report.max_rel_gap.max()))
     tol = cond.CONVOLUTION_TOL
     return _result(name, worst <= tol, tol - worst,
                    f"max per-bin relative gap {worst:.3e} over {n} realizations")
@@ -216,14 +244,15 @@ def check_sandwich(ctx: _Context, n: int = 32) -> CheckResult:
             for mu in (mu0 - 1.0, mu0, mu0 + 1.0)]
     violations = 0
     worst = np.inf
-    for ps in ctx.spectra[:n]:
-        upsilon = cond.upsilon_measure(ps, ctx.bin_edges)
+    for block in ctx.blocks(n):
+        upsilon = cond.upsilon_measure(block, ctx.bin_edges)
         for t_value, mu in grid:
             p = ThermoParams(temperature=t_value, fermi_level=mu)
-            sigma = cond.conductivity_measure(ps, p, ctx.bin_edges)
+            sigma = cond.conductivity_measure(block, p, ctx.bin_edges)
             report = cond.sandwich_check(sigma, upsilon, p, ctx.bounds)
-            violations += report.violations
-            worst = min(worst, report.worst_lower, report.worst_upper)
+            violations += int(report.violations.sum())
+            worst = min(worst, float(report.worst_lower.min()),
+                        float(report.worst_upper.min()))
     return _result(name, violations == 0, worst,
                    f"{violations} bin violations over {n} realizations x "
                    f"{len(grid)} (T, mu) points, worst slack {worst:.3e} of the "
@@ -238,9 +267,10 @@ def check_high_t_bound(ctx: _Context, n: int = 32) -> CheckResult:
     thermos = [ThermoParams(t, ctx.thermo.fermi_level) for t in t_grid]
     ceiling = cond.high_t_ceiling(t_grid, np.vdot(ctx.hop, ctx.hop) / ctx.lattice.site_count)
     worst = np.inf
-    for ps in ctx.spectra[:n]:
-        totals = np.array([cond.gamma_mass(ps, p) + cond.atom_mass(ps, p) for p in thermos])
-        worst = np.minimum(worst, (ceiling - totals).min())  # a NaN slack stays NaN
+    for block in ctx.blocks(n):
+        totals = np.array([cond.gamma_mass(block, p) + cond.atom_mass(block, p)
+                           for p in thermos])  # (temperature, realization)
+        worst = np.minimum(worst, (ceiling[:, None] - totals).min())  # a NaN slack stays NaN
     worst = float(worst)
     return _result("high_t_bound", worst >= 0, worst,
                    f"min slack below (pi/4T) ||v||_F^2 / |Lambda| {worst:.3e} over "
@@ -251,8 +281,9 @@ def check_sum_rule(ctx: _Context, n: int) -> CheckResult:
     name = "sum_rule"
     if ctx.lattice.boundary == DIRICHLET:
         # exact per realization: each gap against its own rounding scale
-        lhs, rhs, scale = np.array([cond.sum_rule_sides(r, ctx.lattice, ctx.thermo)
-                                    for r in ctx.records[:n]]).T
+        sides = [cond.sum_rule_sides(block, group, ctx.lattice, ctx.thermo)
+                 for block, group in cond.blocks_of(ctx.records[:n])]
+        lhs, rhs, scale = (np.concatenate(side) for side in zip(*sides))
         worst = float((np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, scale), 1e-300)).max())
         return _result(name, worst <= SUM_RULE_TOL, SUM_RULE_TOL - worst,
                        f"max |Sigma(R) - 2 pi <f(H)_(x+e1,x)>| over its scale "

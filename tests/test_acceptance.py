@@ -63,16 +63,16 @@ def test_criterion_1_exact_identities():
         _, ps = make_pair_spectrum(periodic, disorder, index)
         edges = frequency_bins(ps.bounds, ps.site_count)
         report = convolution_check(ps, p, edges)
-        worst["convolution"] = max(worst["convolution"], report.max_rel_gap)
+        worst["convolution"] = max(worst["convolution"], report.max_rel_gap[0])
         sigma = conductivity_measure(ps, p, edges)
+        total, bins = sigma.total()[0], sigma.bin_mass[0]
         worst["decomposition"] = max(
             worst["decomposition"],
-            abs(sigma.total() - (sigma.atom_at_zero + sigma.bin_mass.sum()))
-            / sigma.total())
-        even = even and np.array_equal(sigma.bin_mass, sigma.bin_mass[::-1])
+            abs(total - (sigma.atom_at_zero[0] + bins.sum())) / total)
+        even = even and np.array_equal(bins, bins[::-1])
         diameter = ps.bounds[1] - ps.bounds[0]
         wide = frequency_bins(ps.bounds, ps.site_count, nu_max=1.5 * diameter)
-        outside = conductivity_measure(ps, p, wide).mass_outside(diameter)
+        outside = conductivity_measure(ps, p, wide).mass_outside(diameter)[0]
         worst["support"] = max(worst["support"], outside)
 
     open_box = LatticeSpec(1, 16, "dirichlet")
@@ -108,15 +108,15 @@ def test_criterion_2_per_realization_inequalities():
         _, ps = make_pair_spectrum(lattice, disorder, index)
         edges = frequency_bins(ps.bounds, ps.site_count)
         upsilon = upsilon_measure(ps, edges)
-        psi_total = psi_diagonal(ps).total()
+        psi_total = psi_diagonal(ps).total()[0]
         for t_value, mu in grid:
             p = ThermoParams(t_value, mu)
             sigma = conductivity_measure(ps, p, edges)
-            min_mass = min(min_mass, sigma.bin_mass.min(), sigma.atom_at_zero)
+            min_mass = min(min_mass, sigma.bin_mass[0].min(), sigma.atom_at_zero[0])
             report = sandwich_check(sigma, upsilon, p, ps.bounds)
-            violations += report.violations
-            envelope = (np.pi * upsilon.total() + psi_total) / (4 * t_value)
-            envelope_ok = envelope_ok and sigma.total() <= envelope * (1 + 1e-12)
+            violations += report.violations[0]
+            envelope = (np.pi * upsilon.total()[0] + psi_total) / (4 * t_value)
+            envelope_ok = envelope_ok and sigma.total()[0] <= envelope * (1 + 1e-12)
     ok = violations == 0 and min_mass >= 0.0 and envelope_ok
     _report(2, ok,
             f"sandwich violations {violations} (=0) over 100 realizations x "
@@ -133,7 +133,7 @@ def test_criterion_3_nontriviality():
         edges = frequency_bins(ps.bounds, ps.site_count)
         for t_value in (0.5, 1.0, 2.0):
             sigma = conductivity_measure(ps, ThermoParams(t_value, 0.0), edges)
-            smallest = min(smallest, sigma.binned_total())
+            smallest = min(smallest, sigma.binned_total()[0])
     _report(3, smallest > 0.0,
             f"min Gamma(R) over 100 realizations x 3 temperatures = "
             f"{smallest:.4f} (> 0)")
@@ -249,12 +249,12 @@ def test_criterion_9_energy_absorption_oracle():
     ps = record.pairs
     fine = frequency_bins(bounds, lattice.site_count, bins_per_side=4096)
     sigma = conductivity_measure(ps, p, fine)
-    w_lr = absorbed_energy_lr(sigma, pulse)
+    w_lr = absorbed_energy_lr(sigma, pulse)[0]
     oracle_rel = abs(extraction.w_lin - w_lr) / w_lr
     ratio = extraction.ratio_smallest_pair()
 
     off_pulse = FieldPulse(amplitude=1.0, width=2.0, carrier=12.0)
-    w_lr_off = absorbed_energy_lr(sigma, off_pulse)
+    w_lr_off = absorbed_energy_lr(sigma, off_pulse)[0]
     off_extraction = linear_response_extract(lattice, record, off_pulse, p,
                                              [0.2, 0.1, 0.05, 0.025], dt=5e-3)
 
@@ -283,12 +283,12 @@ def test_criterion_10_two_site_regression():
     plus = int(np.argmin(np.abs(centers - 2.0)))
     minus = int(np.argmin(np.abs(centers + 2.0)))
     per_side_warm = np.pi / 2 * np.tanh(0.5) / 2
-    upsilon_total = upsilon_measure(ps, edges).total()
+    upsilon_total = upsilon_measure(ps, edges).total()[0]
 
-    gap_cold = max(abs(cold.bin_mass[plus] - np.pi / 4),
-                   abs(cold.bin_mass[minus] - np.pi / 4))
-    gap_warm = max(abs(warm.bin_mass[plus] - per_side_warm),
-                   abs(warm.bin_mass[minus] - per_side_warm))
+    gap_cold = max(abs(cold.bin_mass[0, plus] - np.pi / 4),
+                   abs(cold.bin_mass[0, minus] - np.pi / 4))
+    gap_warm = max(abs(warm.bin_mass[0, plus] - per_side_warm),
+                   abs(warm.bin_mass[0, minus] - per_side_warm))
     gap_upsilon = abs(upsilon_total - 1.0)
     ok = gap_cold <= 1e-12 and gap_warm <= 1e-12 and gap_upsilon <= 1e-12
     _report(10, ok,

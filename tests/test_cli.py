@@ -459,7 +459,7 @@ class TestVerifyCommand:
 
         def drop_largest(*args):
             mass = original(*args)
-            mass[np.argmax(mass)] = 0.0
+            mass.flat[np.argmax(mass)] = 0.0  # one realization's largest bin
             return mass
 
         monkeypatch.setattr(aclab.conductivity, "_mirror_bin", drop_largest)
@@ -480,7 +480,7 @@ class TestVerifyCommand:
 
         def fill_outermost(*args):
             mass = original(*args)
-            mass[0] += 1e-30
+            mass[:, 0] += 1e-30  # every realization's outermost bin
             return mass
 
         monkeypatch.setattr(aclab.conductivity, "_mirror_bin", fill_outermost)

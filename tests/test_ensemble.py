@@ -41,9 +41,50 @@ def test_reduction_order_fixed_by_index():
     totals = []
     for index in range(12):
         ps = realization_pair_spectrum(LATTICE, DISORDER.with_index(index)).pairs
-        totals.append(conductivity_measure(ps, WARM, result.bin_edges).total())
+        totals.append(conductivity_measure(ps, WARM, result.bin_edges).total()[0])
     reversed_mean = sum(reversed(totals)) / 12
     assert abs(result.scalars["sigma_total"][0] - reversed_mean) < 1e-12
+
+
+def test_blocks_change_no_bit_of_an_ensemble(monkeypatch):
+    # every table measured alone (a budget of 1 byte) against the default blocks
+    import aclab.conductivity as cond
+
+    def run():
+        result = ensemble_average(DISORDER, LATTICE, WARM, n=12)
+        table = disorder_sweep(LATTICE, WARM, [0.0, 0.5], DISORDER, n=12)
+        sweep = temperature_sweep(DISORDER, LATTICE, 0.0, [0.5, 2.0], n=12)
+        return (result.sigma_mean.tobytes(), result.sigma_stderr.tobytes(),
+                result.atom_mean, result.scalars, table.rows, sweep.rows)
+
+    blocked = run()
+    monkeypatch.setattr(cond, "BLOCK_BYTES", 1)
+    assert run() == blocked
+
+
+def test_each_block_is_measured_before_the_next_eigensolve(monkeypatch):
+    import aclab.conductivity as cond
+    import aclab.ensemble as ens
+
+    events = []
+    solve = ens.realization_pair_spectrum
+
+    def traced(lattice, spec):
+        events.append(("solve", spec.realization_index))
+        return solve(lattice, spec)
+
+    def measure(block):
+        events.append(("measure", block.count))
+
+    monkeypatch.setattr(ens, "realization_pair_spectrum", traced)
+    ens._measured_blocks(LATTICE, DISORDER, 3, measure)
+    assert events == [("solve", 0), ("solve", 1), ("solve", 2), ("measure", 3)]
+    # a table past the budget is measured alone, before the next eigensolve
+    events.clear()
+    monkeypatch.setattr(cond, "BLOCK_BYTES", 1)
+    ens._measured_blocks(LATTICE, DISORDER, 3, measure)
+    assert events == [("solve", 0), ("measure", 1), ("solve", 1), ("measure", 1),
+                      ("solve", 2), ("measure", 1)]
 
 
 def test_needs_two_realizations():

@@ -32,6 +32,20 @@ def test_hamiltonian_two_site_assembly():
     assert np.array_equal(h, [[0.3, -1.0], [-1.0, -0.8]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
+@example(LatticeSpec(1, 2, "periodic"), 1.0, 0)  # doubled bonds: entries of -2
+@example(LatticeSpec(3, 2, "periodic"), 1.0, 0)
+@example(LatticeSpec(2, 2, "dirichlet"), 0.0, 0)
+def test_hamiltonian_from_bonds_is_the_dense_sum_bit_for_bit(lattice, strength, seed):
+    # the bond list against build_laplacian + diag(V); a clean potential holds
+    # -0.0 where a draw is negative, which 0 + V turns into +0.0
+    potential = sample_potential(DisorderSpec(strength=strength, seed=seed), lattice)
+    dense = build_laplacian(lattice)
+    dense[np.diag_indices_from(dense)] += potential
+    assert build_hamiltonian(lattice, potential).tobytes() == dense.tobytes()
+
+
 def test_hamiltonian_size_mismatch():
     with pytest.raises(ValueError, match="shape"):
         build_hamiltonian(LatticeSpec(1, 4), np.zeros(5))

@@ -4,8 +4,9 @@
 the table's sum of nu^2k |v|^2 on every box, and any corruption of the table,
 its energies or the eigenvectors it came from must break the equality.  Every
 pair weight is at most 1/4T, so Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| with
-the norm read from the lattice; and on open boxes the total mass equals
-2 pi <f(H)_{x+e1,x}> per realization.
+the norm read from the lattice; on open boxes the total mass equals
+2 pi <f(H)_{x+e1,x}> per realization; and every sigma bin holds exactly the
+mass np.histogram puts there.
 """
 
 import dataclasses
@@ -16,8 +17,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from aclab import DisorderSpec, LatticeSpec, ThermoParams, pair_spectrum
 from aclab.config import RunConfig
+import aclab.conductivity as cond
 from aclab.verify import _Context, check_commutator_moments, check_high_t_bound, \
-    check_sum_rule, run_verify
+    check_positivity, check_sum_rule, run_verify
 
 from conftest import MASTER_SEED, lattices
 
@@ -115,27 +117,49 @@ def _scaled_atom(factor):
     return fault
 
 
+def _on_tables(corrupt):
+    def inject(ctx, monkeypatch):
+        ctx.records = [dataclasses.replace(r, pairs=corrupt(r, ctx.lattice)) for r in ctx.records]
+    return inject
+
+
+def _nu_binned_high(ctx, monkeypatch):
+    # every nu binned 2% high inside _mirror_bin, on fresh tables so that no
+    # bin index from before the fault is reused
+    half_index = cond._half_index
+    monkeypatch.setattr(cond, "_half_index", lambda nu, edges: half_index(1.02 * nu, edges))
+    _on_tables(lambda record, lattice: dataclasses.replace(record.pairs))(ctx, monkeypatch)
+
+
 CHECKS = {"high_t_bound": check_high_t_bound, "sum_rule": check_sum_rule,
-          "commutator_moments": check_commutator_moments}
-# fault: (corruption, box, disorder strength, the checks it must fail).  On the
+          "commutator_moments": check_commutator_moments, "positivity": check_positivity}
+OPEN_CHAIN = LatticeSpec(1, 12, "dirichlet")
+# fault: (injection, box, disorder strength, the checks it must fail).  On the
 # clean ring all mass is degenerate and the atom's (-f)' sits just under 1/4T;
-# sum_rule fails on every clean periodic box, so it is not asked there.
+# sum_rule fails on every clean periodic box, so it is not asked there.  Every
+# measure and both sides of convolution bin through _mirror_bin, so only
+# positivity's np.histogram sees a misplaced nu.
 FAULT_MATRIX = {
-    "atom-x1.05-ring": (_scaled_atom(1.05), RING, 0.0, {"high_t_bound", "commutator_moments"}),
-    "atom-x1.5-ring": (_scaled_atom(1.5), RING, 0.0, {"high_t_bound", "commutator_moments"}),
-    "atom-x3-ring": (_scaled_atom(3.0), RING, 0.0, {"high_t_bound", "commutator_moments"}),
-    "doubled-ring": (_doubled, RING, 1.0, {"high_t_bound", "commutator_moments"}),
-    "doubled-d1L12-dirichlet": (_doubled, LatticeSpec(1, 12, "dirichlet"), 1.0,
+    "atom-x1.05-ring": (_on_tables(_scaled_atom(1.05)), RING, 0.0,
+                        {"high_t_bound", "commutator_moments"}),
+    "atom-x1.5-ring": (_on_tables(_scaled_atom(1.5)), RING, 0.0,
+                       {"high_t_bound", "commutator_moments"}),
+    "atom-x3-ring": (_on_tables(_scaled_atom(3.0)), RING, 0.0,
+                     {"high_t_bound", "commutator_moments"}),
+    "doubled-ring": (_on_tables(_doubled), RING, 1.0, {"high_t_bound", "commutator_moments"}),
+    "doubled-d1L12-dirichlet": (_on_tables(_doubled), OPEN_CHAIN, 1.0,
                                 {"high_t_bound", "sum_rule", "commutator_moments"}),
+    "nu-binned-high-ring": (_nu_binned_high, RING, 1.0, {"positivity"}),
+    "nu-binned-high-d1L12-dirichlet": (_nu_binned_high, OPEN_CHAIN, 1.0, {"positivity"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_MATRIX))
-def test_fault_matrix(case):
-    fault, lattice, strength, must_fail = FAULT_MATRIX[case]
+def test_fault_matrix(case, monkeypatch):
+    inject, lattice, strength, must_fail = FAULT_MATRIX[case]
     ctx = _Context(_config(lattice, strength))
     assert all(CHECKS[name](ctx, 2).status == "pass" for name in must_fail)
-    ctx.records = [dataclasses.replace(r, pairs=fault(r, lattice)) for r in ctx.records]
+    inject(ctx, monkeypatch)
     assert {name: CHECKS[name](ctx, 2).status for name in must_fail} == dict.fromkeys(
         must_fail, "fail")
 
@@ -159,6 +183,6 @@ def test_high_t_bound_holds_on_clean_periodic_boxes(lattice):
 def test_sum_rule_is_exact_on_open_boxes(lattice, strength, temperature, mu, seed):
     # the T = 0 measure is defined only with mu off every level
     ctx = _Context(_config(lattice, strength, seed, thermo=ThermoParams(temperature, mu)))
-    assume(temperature > 0 or all(np.abs(ps.energies - mu).min() > ps.eps_deg
-                                  for ps in ctx.spectra))
+    assume(temperature > 0 or all(np.abs(r.pairs.energies - mu).min() > r.pairs.eps_deg
+                                  for r in ctx.records))
     assert check_sum_rule(ctx, 2).status == "pass"
