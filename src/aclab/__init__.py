@@ -18,8 +18,9 @@ from .conductivity import (
     psi_diagonal,
     psi_total,
     sandwich_check,
+    sum_rule_lhs,
     sum_rule_mass,
-    sum_rule_sides,
+    sum_rule_rhs,
     upsilon_measure,
     upsilon_total,
 )

@@ -142,17 +142,6 @@ def join(tables: list) -> PairSpectrum:
     )
 
 
-def blocks_of(records: list):
-    """(block, records) for consecutive runs of realization records, each run's tables joined.
-
-    Yields one block at a time, so only one joined copy is alive.
-    """
-    per = tables_per_block(records[0].pairs)
-    for start in range(0, len(records), per):
-        group = records[start:start + per]
-        yield join([r.pairs for r in group]), group
-
-
 @dataclass
 class MeasureHistogram:
     """Binned finite measures of the k realizations of a block, atoms stored apart.
@@ -490,49 +479,43 @@ class SumRuleReport:
     gap_stderr_combined: float
 
 
-def sum_rule_sides(ps: PairSpectrum, records: list, lattice: LatticeSpec,
-                   p: ThermoParams) -> tuple:
-    """Both sides of the total-mass identity per realization of a block, and the right side's scale.
+def sum_rule_lhs(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
+    """Left side of the total-mass identity per realization of a block: gamma_mass + tangent atom."""
+    return gamma_mass(ps, p) + _tangent_atom(ps, p)
 
-    records are the block's realizations, in order, as
-    ensemble.realization_pair_spectrum returns them.  The left side is the
-    block's gamma_mass plus its tangent atom; the right side is
+
+def sum_rule_rhs(data: SpectralData, lattice: LatticeSpec, p: ThermoParams) -> tuple:
+    """Right side of the total-mass identity for one eigensystem, and its scale.
+
+    The right side is
         2 pi (1/|Lambda|) sum_x Re <delta_{x+e1}, f(H) delta_x>
-    (hopping amplitude -1), read from each eigensystem as a sum over bands
+    (hopping amplitude -1), read as a sum over bands
     b_k = sum_x Q[x + e1, k] Q[x, k] weighted by f(E_k), and an out-of-box
     neighbour adds nothing.  The scale, the same sum of f(E_k) |b_k|, bounds
     the right side's rounding, which the left side's nonnegative terms do not
     need.  On open boxes the identity is exact per realization; on periodic
     ones it misses the twist stiffness, which vanishes rapidly with L.
     """
-    if len(records) != ps.count:
-        raise ValueError(f"{len(records)} records for a block of {ps.count}")
-    forward = lattice.neighbor_shift(0, +1)
-    rhs, scale = [], []
-    for record in records:
-        q = record.spectral.vectors
-        band = np.einsum("xk,xk->k", _shifted_rows(q, forward), q)
-        f = fermi(record.spectral.energies, p)
-        rhs.append(float(band @ f))
-        scale.append(float(np.abs(band) @ f))
+    q = data.vectors
+    band = np.einsum("xk,xk->k", _shifted_rows(q, lattice.neighbor_shift(0, +1)), q)
+    f = fermi(data.energies, p)
     norm = 2.0 * np.pi / lattice.site_count
-    return (gamma_mass(ps, p) + _tangent_atom(ps, p), norm * np.array(rhs),
-            norm * np.array(scale))
+    return norm * float(band @ f), norm * float(np.abs(band) @ f)
 
 
-def sum_rule_mass(records: list, lattice: LatticeSpec, p: ThermoParams) -> SumRuleReport:
-    """Compare the ensemble means of the sum_rule_sides of a periodic box.
+def sum_rule_mass(lhs: np.ndarray, rhs: np.ndarray, lattice: LatticeSpec) -> SumRuleReport:
+    """Compare the ensemble means of the per-realization sides of a periodic box.
 
-    Each realization misses the twist stiffness there, so the gap is compared
-    with the ensemble's standard error rather than with rounding.
+    lhs and rhs are arrays of one sum_rule_lhs and one sum_rule_rhs value per
+    realization.  Each realization misses the twist stiffness there, so the
+    gap is compared with the ensemble's standard error rather than with
+    rounding.
     """
     if lattice.boundary != PERIODIC:
         raise ValueError("sum rule ensemble comparison requires periodic boundary")
-    n = len(records)
+    n = len(lhs)
     if n < 2:
         raise ValueError("sum rule needs at least 2 realizations for a stderr")
-    sides = [sum_rule_sides(block, group, lattice, p) for block, group in blocks_of(records)]
-    lhs, rhs, _ = (np.concatenate(side) for side in zip(*sides))
     root_n = np.sqrt(n)
     return SumRuleReport(
         lhs_mean=float(lhs.mean()),

@@ -1,12 +1,13 @@
 """Disorder averaging and the parameter sweeps that expose the limit trends.
 
-Every command runs its realizations serially, in index order, through
-``_map_indices``, joins their pair tables into blocks of consecutive
-realizations (conductivity.join), measures each block in one pass, and
-reduces the per-realization results in index order (fixed floating-point
-association; documented tolerance 1e-12 on totals).  Sweeps share random
-numbers across grid points: the potential of realization i is the same raw
-draw at every grid value, scaled by the local disorder strength.
+Every command, verify too, runs its realizations serially, in index order,
+through ``_measured_blocks``: it joins their pair tables into blocks of
+consecutive realizations (conductivity.join), measures each block in one
+pass, and reduces the per-realization results in index order (fixed
+floating-point association; documented tolerance 1e-12 on totals).  verify's
+``each`` hook reads each whole record before its eigenvectors go.  Sweeps
+share random numbers across grid points: the potential of realization i is
+the same raw draw at every grid value, scaled by the local disorder strength.
 """
 
 from __future__ import annotations
@@ -123,13 +124,14 @@ def _map_indices(worker, n: int, threads: int) -> list:
     return [worker(i) for i in range(n)]
 
 
-def _measured_blocks(lattice: LatticeSpec, spec: DisorderSpec, n: int, measure) -> list:
+def _measured_blocks(lattice: LatticeSpec, spec: DisorderSpec, n: int, measure,
+                     each=lambda i, record: None) -> list:
     """measure(block) of the realizations 0..n-1 of spec, in blocks of consecutive indices.
 
-    Only the pair table leaves the pipeline record, so the eigenvectors are
-    released before any binning.  A block is measured, and released, as soon
-    as it holds tables_per_block tables, so a table too large to share a
-    block is measured before the next eigensolve.
+    each(i, record) sees realization i's whole record; then only its pair
+    table stays, so the eigenvectors are released before any binning.  A block
+    is measured and released once it holds tables_per_block tables, so a table
+    too large to share a block is measured before the next eigensolve.
     """
     results, pending = [], []
 
@@ -138,7 +140,10 @@ def _measured_blocks(lattice: LatticeSpec, spec: DisorderSpec, n: int, measure) 
         pending.clear()
 
     def worker(i: int):
-        pending.append(realization_pair_spectrum(lattice, spec.with_index(i)).pairs)
+        record = realization_pair_spectrum(lattice, spec.with_index(i))
+        each(i, record)
+        pending.append(record.pairs)
+        del record
         if len(pending) == tables_per_block(pending[0]):
             flush()
 

@@ -7,14 +7,18 @@ Each check returns a CheckResult with status "pass", "fail", or "skipped"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import conductivity as cond, ensemble
 from .config import RunConfig
 from .disorder import spectral_bounds
-from .ensemble import Realization, realization_pair_spectrum
+from .ensemble import Realization
+# Unused here; perfbench's tracer test checks that tracing patches this binding.
+from .ensemble import realization_pair_spectrum  # noqa: F401
 from .lattice import DIRICHLET, build_velocity, position_values
 from .response import ExtractionResult, absorbed_energy_lr, absorbed_energy_td, \
     linear_response_extract, propagate_liouville
@@ -24,6 +28,9 @@ from .thermo import ThermoParams
 MOMENT_TOL = 1e-12  # commutator moments against the pair table, relative to their bound
 SUM_RULE_TOL = 1e-12  # open-box total mass against the hopping trace, relative
 PLACEMENT_TOL = 1e-12  # sigma bins against np.histogram, relative to the largest bin
+HIGH_T_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+# sandwich's (T, mu): the config's T times each scale, its mu plus each shift
+SANDWICH_GRID = [(scale, shift) for scale in (0.5, 1.0, 2.0) for shift in (-1.0, 0.0, 1.0)]
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,9 @@ class VerifyReport:
 
 
 def _result(name, ok, margin, detail) -> CheckResult:
+    # JSON has no Infinity or NaN; the status and the detail carry the outcome
     return CheckResult(name=name, status="pass" if ok else "fail",
-                       margin=margin, detail=detail)
+                       margin=margin if math.isfinite(margin) else None, detail=detail)
 
 
 def _skip(name, why) -> CheckResult:
@@ -69,44 +77,60 @@ def _skip(name, why) -> CheckResult:
 
 
 class _Context:
-    """The config's realizations, built once; each check reads a prefix of them.
+    """The config's constants, and one row per realization read for each check.
 
-    The measures read blocks joined from the records (conductivity.blocks_of)
-    one at a time, so no joined copy outlives the check that made it, and a
-    fault injected into the records reaches every check.
+    run_verify walks the realizations once through ensemble._measured_blocks:
+    each() reads a whole record before its eigenvectors go, measure() a block
+    of pair tables.  A check over the first k realizations keeps the rows of
+    the blocks that begin inside them and reduces exactly k rows.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.lattice = config.lattice
-        self.disorder = config.disorder
         self.thermo = config.thermo
-        self.bounds = spectral_bounds(self.disorder, self.lattice)
+        self.bounds = spectral_bounds(config.disorder, self.lattice)
         self.bin_edges = config.frequency_edges()
         self.hop = (1j * build_velocity(self.lattice)).real  # A = i v, real antisymmetric
-        self.records = ensemble._map_indices(
-            lambda i: realization_pair_spectrum(self.lattice, self.disorder.with_index(i)),
-            config.ensemble["realizations"], 1)
+        self.hop_norm2 = float(np.vdot(self.hop, self.hop))  # ||A||_F^2 = ||v||_F^2
+        n = config.ensemble["realizations"]
+        self.small, self.medium = min(n, 8), min(n, 32)
+        self.first = []    # the checks that read or drive realization 0
+        self.spectra = []  # every eigensystem, without its eigenvectors
+        self.rows = defaultdict(list)
 
-    @property
-    def records(self) -> list:
-        return self._records
+    def each(self, i: int, record: Realization):
+        if i == 0:
+            self.first = [check_velocity_position(self, record),
+                          check_energy_routes(self, record),
+                          check_oracle_energy(self, record)]
+        if i < self.small:
+            self.rows["commutator_moments"].append([_moment_gap(self, record)])
+        self.rows["sum_rule_rhs"].append(
+            [cond.sum_rule_rhs(record.spectral, self.lattice, self.thermo)])
+        self.spectra.append(replace(record.spectral, vectors=None))
 
-    @records.setter
-    def records(self, records: list):
-        self._records = records
-        self._sigmas = {}
+    def measure(self, block: cond.PairSpectrum):
+        start = len(self.spectra) - block.count  # each() has seen the block's records
+        p, rows = self.thermo, self.rows
+        rows["sum_rule_lhs"].append(cond.sum_rule_lhs(block, p))
+        if start < self.small:
+            sigma = cond.conductivity_measure(block, p, self.bin_edges)
+            rows["positivity"].append(_placement(self, block, sigma))
+            exact = cond.gamma_mass(block, p)
+            rows["decomposition"].append(
+                np.abs(sigma.binned_total() - exact) / np.maximum(exact, 1e-300))
+            if p.temperature > 0:
+                rows["convolution"].append(
+                    cond.convolution_check(block, p, self.bin_edges).max_rel_gap)
+        if start < self.medium:
+            if p.temperature > 0:
+                rows["sandwich"].append(_sandwich_rows(self, block))
+            rows["high_t_bound"].append(_high_t_slack(self, block))
 
-    def blocks(self, n: int):
-        """The pair tables of the first n records, joined into blocks, one at a time."""
-        return (block for block, _ in cond.blocks_of(self.records[:n]))
-
-    def sigmas(self, n: int) -> list:
-        """Conductivity measures at the config's thermo and bins, one per block."""
-        if n not in self._sigmas:
-            self._sigmas[n] = [cond.conductivity_measure(block, self.thermo, self.bin_edges)
-                               for block in self.blocks(n)]
-        return self._sigmas[n]
+    def prefix(self, name: str, n: int) -> np.ndarray:
+        """The rows of one check for the first n realizations."""
+        return np.concatenate(self.rows[name])[:n]
 
 
 def absorption_oracle(config: RunConfig,
@@ -127,11 +151,11 @@ def absorption_oracle(config: RunConfig,
     return extraction, float(absorbed_energy_lr(sigma, config.pulse)[0])
 
 
-def check_velocity_position(ctx: _Context) -> CheckResult:
+def check_velocity_position(ctx: _Context, record: Realization) -> CheckResult:
     name = "velocity_position"
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "position operator needs dirichlet boundary")
-    data = ctx.records[0].spectral
+    data = record.spectral
     a_eig = data.vectors.T @ ctx.hop @ data.vectors  # i v_nm
     x_eig = data.vectors.T @ (position_values(ctx.lattice)[:, None] * data.vectors)
     gaps = data.energies[:, None] - data.energies[None, :]
@@ -142,33 +166,55 @@ def check_velocity_position(ctx: _Context) -> CheckResult:
                    f"max |v_nm - i(E_n-E_m) x_nm| = {defect:.3e} (tol {tol:.1e})")
 
 
-def check_commutator_moments(ctx: _Context, n: int = 8) -> CheckResult:
+def _moment_gap(ctx: _Context, record: Realization) -> float:
     # (ad_H^k v)_nm = nu_nm^k v_nm, so ||ad_H^k A||_F^2 = sum_nm nu^2k |v_nm|^2 with
     # v = -iA (k = 0 sums the table).  The left side applies the stencil to the real
     # A, with no eigenvector: C_k is antisymmetric for even k and symmetric for odd
     # k, so C H = -+(H C)^T.  The right side reads the stored split, with nu from
     # the energies; each gap is scaled by its bound ||A||_F^2 (2 max|E|)^2k.
-    scale = max(float(np.vdot(ctx.hop, ctx.hop)), 1.0)
-    spread = 2.0 * max(abs(b) for b in ctx.bounds)
-    worst = 0.0
-    for record in ctx.records[:n]:
-        ps, e = record.pairs, record.pairs.energies
-        nu2 = (e[ps.rows] - e[ps.cols]) ** 2
-        nu2_deg = (e[ps.degenerate_rows] - e[ps.degenerate_cols]) ** 2
-        c = ctx.hop
-        for k in range(5):
-            if k:
-                hc = record.potential[:, None] * c
-                subtract_hopping(ctx.lattice, hc, c)
-                c = hc + hc.T if k % 2 else hc - hc.T
-            rhs = 2.0 * (ps.velocity_abs2 @ nu2 ** k) + ps.degenerate_abs2 @ nu2_deg ** k
-            worst = max(worst, abs(np.vdot(c, c) - rhs) / (scale * spread ** (2 * k)))
+    scale = max(ctx.hop_norm2, 1.0)
+    spread = 2.0 * max(abs(bound) for bound in ctx.bounds)
+    ps, e = record.pairs, record.pairs.energies
+    nu2 = (e[ps.rows] - e[ps.cols]) ** 2
+    nu2_deg = (e[ps.degenerate_rows] - e[ps.degenerate_cols]) ** 2
+    worst, c = 0.0, ctx.hop
+    for k in range(5):
+        if k:
+            hc = record.potential[:, None] * c
+            subtract_hopping(ctx.lattice, hc, c)
+            c = hc + hc.T if k % 2 else hc - hc.T
+        rhs = 2.0 * (ps.velocity_abs2 @ nu2 ** k) + ps.degenerate_abs2 @ nu2_deg ** k
+        worst = max(worst, abs(np.vdot(c, c) - rhs) / (scale * spread ** (2 * k)))
+    return worst
+
+
+def check_commutator_moments(ctx: _Context, n: int) -> CheckResult:
+    worst = max(ctx.prefix("commutator_moments", n))
     return _result("commutator_moments", worst <= MOMENT_TOL, MOMENT_TOL - worst,
                    f"max gap of ||ad_H^k A||_F^2 from sum nu^2k |v|^2 over its bound "
                    f"{worst:.3e}, k = 0..4, over {n} realizations")
 
 
-def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
+def _placement(ctx: _Context, block: cond.PairSpectrum,
+               sigma: cond.MeasureHistogram) -> np.ndarray:
+    """Per realization: smallest held bin, largest |empty bin|, atom, placement gap."""
+    half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
+    mass = cond._pair_mass(block, ctx.thermo)
+    offsets = block.pair_offsets.tolist()
+    rows = []
+    for bins, atom, lo, hi in zip(sigma.bin_mass, sigma.atom_at_zero,
+                                  offsets[:-1], offsets[1:]):
+        nu = np.minimum(block.nu[lo:hi], half_edges[-1])
+        counts, _ = np.histogram(nu, bins=half_edges)
+        placed, _ = np.histogram(nu, bins=half_edges, weights=mass[lo:hi])
+        held = np.concatenate([counts[::-1], counts]) > 0
+        misplaced = np.abs(bins - np.concatenate([placed[::-1], placed])).max()
+        rows.append((bins[held].min(initial=np.inf), np.abs(bins[~held]).max(initial=0.0),
+                     atom, misplaced / max(bins.max(), 1e-300)))
+    return np.array(rows)
+
+
+def check_positivity(ctx: _Context, n: int) -> CheckResult:
     # Every bin holding a nu > eps_deg pair is >= 0, every other bin exactly 0,
     # and the atom >= 0.  Placement, per realization: each bin against
     # np.histogram of the same pair masses at their nu (an independent binning:
@@ -176,21 +222,8 @@ def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
     # top edge as _mirror_bin clamps a rounding overrun, at PLACEMENT_TOL of the
     # largest bin.  The margin is that slack; a negative or stray bin shows in
     # it too, since np.histogram's bins are >= 0 and empty ones exactly 0.
-    half_edges = ctx.bin_edges[len(ctx.bin_edges) // 2:]
-    smallest, stray, atom, gap = np.inf, 0.0, np.inf, 0.0
-    for block, sigma in zip(ctx.blocks(n), ctx.sigmas(n)):
-        mass = cond._pair_mass(block, ctx.thermo)
-        offsets = block.pair_offsets.tolist()
-        for bins, a, b in zip(sigma.bin_mass, offsets[:-1], offsets[1:]):
-            nu = np.minimum(block.nu[a:b], half_edges[-1])
-            counts, _ = np.histogram(nu, bins=half_edges)
-            placed, _ = np.histogram(nu, bins=half_edges, weights=mass[a:b])
-            held = np.concatenate([counts[::-1], counts]) > 0
-            smallest = min(smallest, bins[held].min(initial=np.inf))
-            stray = max(stray, np.abs(bins[~held]).max(initial=0.0))
-            misplaced = np.abs(bins - np.concatenate([placed[::-1], placed])).max()
-            gap = max(gap, misplaced / max(bins.max(), 1e-300))
-        atom = min(atom, sigma.atom_at_zero.min())
+    smallest, stray, atom, gap = ctx.prefix("positivity", n).T
+    smallest, stray, atom, gap = smallest.min(), stray.max(), atom.min(), gap.max()
     ok = smallest >= 0.0 and atom >= 0.0 and stray == 0.0 and gap <= PLACEMENT_TOL
     return _result("positivity", ok, PLACEMENT_TOL - float(gap),
                    f"largest bin gap from np.histogram over the largest bin {gap:.3e}, "
@@ -198,99 +231,79 @@ def check_positivity(ctx: _Context, n: int = 8) -> CheckResult:
                    f"{atom:.3e}, largest |mass| of an empty bin {stray:.3e}")
 
 
-def check_support(ctx: _Context, n: int = 8) -> CheckResult:
-    diameter = ctx.bounds[1] - ctx.bounds[0]
-    wide = cond.frequency_bins(ctx.bounds, ctx.lattice.site_count,
-                               nu_max=1.25 * diameter)
-    worst = 0.0
-    for block in ctx.blocks(n):
-        hist = cond.conductivity_measure(block, ctx.thermo, wide)
-        worst = max(worst, float(hist.mass_outside(diameter).max()))
-    return _result("support", worst == 0.0, 0.0 - worst,
-                   f"mass beyond the spectral diameter {worst:.3e} (must be exactly 0)")
-
-
-def check_decomposition(ctx: _Context, n: int = 8) -> CheckResult:
-    worst = 0.0
-    for block, sigma in zip(ctx.blocks(n), ctx.sigmas(n)):
-        exact = cond.gamma_mass(block, ctx.thermo)
-        gaps = np.abs(sigma.binned_total() - exact) / np.maximum(exact, 1e-300)
-        worst = max(worst, float(gaps.max()))
+def check_decomposition(ctx: _Context, n: int) -> CheckResult:
+    worst = float(ctx.prefix("decomposition", n).max())
     tol = cond.DECOMPOSITION_TOL
     return _result("decomposition", worst <= tol, tol - worst,
                    f"binned vs unbinned Gamma mass: max relative gap {worst:.3e}")
 
 
-def check_convolution(ctx: _Context, n: int = 8) -> CheckResult:
+def check_convolution(ctx: _Context, n: int) -> CheckResult:
     name = "convolution"
     if ctx.thermo.temperature <= 0:
         return _skip(name, "identity needs T > 0")
-    worst = 0.0
-    for block in ctx.blocks(n):
-        report = cond.convolution_check(block, ctx.thermo, ctx.bin_edges)
-        worst = max(worst, float(report.max_rel_gap.max()))
+    worst = float(ctx.prefix(name, n).max())
     tol = cond.CONVOLUTION_TOL
     return _result(name, worst <= tol, tol - worst,
                    f"max per-bin relative gap {worst:.3e} over {n} realizations")
 
 
-def check_sandwich(ctx: _Context, n: int = 32) -> CheckResult:
+def _sandwich_rows(ctx: _Context, block: cond.PairSpectrum) -> np.ndarray:
+    """Per realization: bin violations and the worst slack over the (T, mu) grid."""
+    upsilon = cond.upsilon_measure(block, ctx.bin_edges)
+    violations, worst = np.zeros(block.count), np.full(block.count, np.inf)
+    for scale, shift in SANDWICH_GRID:
+        p = ThermoParams(scale * ctx.thermo.temperature, ctx.thermo.fermi_level + shift)
+        sigma = cond.conductivity_measure(block, p, ctx.bin_edges)
+        report = cond.sandwich_check(sigma, upsilon, p, ctx.bounds)
+        violations += report.violations
+        worst = np.minimum(worst, np.minimum(report.worst_lower, report.worst_upper))
+    return np.column_stack([violations, worst])
+
+
+def check_sandwich(ctx: _Context, n: int) -> CheckResult:
     name = "sandwich"
-    base_t = ctx.thermo.temperature
-    if base_t <= 0:
+    if ctx.thermo.temperature <= 0:
         return _skip(name, "bounds need T > 0")
-    mu0 = ctx.thermo.fermi_level
-    grid = [(t, mu) for t in (0.5 * base_t, base_t, 2.0 * base_t)
-            for mu in (mu0 - 1.0, mu0, mu0 + 1.0)]
-    violations = 0
-    worst = np.inf
-    for block in ctx.blocks(n):
-        upsilon = cond.upsilon_measure(block, ctx.bin_edges)
-        for t_value, mu in grid:
-            p = ThermoParams(temperature=t_value, fermi_level=mu)
-            sigma = cond.conductivity_measure(block, p, ctx.bin_edges)
-            report = cond.sandwich_check(sigma, upsilon, p, ctx.bounds)
-            violations += int(report.violations.sum())
-            worst = min(worst, float(report.worst_lower.min()),
-                        float(report.worst_upper.min()))
+    violations, worst = ctx.prefix(name, n).T
+    violations, worst = int(violations.sum()), float(worst.min())
     return _result(name, violations == 0, worst,
                    f"{violations} bin violations over {n} realizations x "
-                   f"{len(grid)} (T, mu) points, worst slack {worst:.3e} of the "
-                   f"envelope over bins with Upsilon > 0")
+                   f"{len(SANDWICH_GRID)} (T, mu) points, worst slack "
+                   f"{worst:.3e} of the envelope over bins with Upsilon > 0")
 
 
-def check_high_t_bound(ctx: _Context, n: int = 32) -> CheckResult:
+def _high_t_slack(ctx: _Context, block: cond.PairSpectrum) -> np.ndarray:
     # Sigma(R) = gamma_mass + atom_mass from the table; the ceiling's
     # ||v||_F^2 = ||A||_F^2 comes from the lattice, so the check does not read
     # the table it bounds.
-    t_grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    thermos = [ThermoParams(t, ctx.thermo.fermi_level) for t in t_grid]
-    ceiling = cond.high_t_ceiling(t_grid, np.vdot(ctx.hop, ctx.hop) / ctx.lattice.site_count)
-    worst = np.inf
-    for block in ctx.blocks(n):
-        totals = np.array([cond.gamma_mass(block, p) + cond.atom_mass(block, p)
-                           for p in thermos])  # (temperature, realization)
-        worst = np.minimum(worst, (ceiling[:, None] - totals).min())  # a NaN slack stays NaN
-    worst = float(worst)
+    thermos = [ThermoParams(t, ctx.thermo.fermi_level) for t in HIGH_T_GRID]
+    ceiling = cond.high_t_ceiling(HIGH_T_GRID, ctx.hop_norm2 / ctx.lattice.site_count)
+    totals = np.array([cond.gamma_mass(block, p) + cond.atom_mass(block, p)
+                       for p in thermos])  # (temperature, realization)
+    return (ceiling[:, None] - totals).min(axis=0)  # a NaN slack stays NaN
+
+
+def check_high_t_bound(ctx: _Context, n: int) -> CheckResult:
+    worst = float(ctx.prefix("high_t_bound", n).min())
     return _result("high_t_bound", worst >= 0, worst,
                    f"min slack below (pi/4T) ||v||_F^2 / |Lambda| {worst:.3e} over "
-                   f"{n} realizations x {len(t_grid)} temperatures")
+                   f"{n} realizations x {len(HIGH_T_GRID)} temperatures")
 
 
 def check_sum_rule(ctx: _Context, n: int) -> CheckResult:
     name = "sum_rule"
+    lhs = ctx.prefix("sum_rule_lhs", n)
+    rhs, scale = ctx.prefix("sum_rule_rhs", n).T
     if ctx.lattice.boundary == DIRICHLET:
         # exact per realization: each gap against its own rounding scale
-        sides = [cond.sum_rule_sides(block, group, ctx.lattice, ctx.thermo)
-                 for block, group in cond.blocks_of(ctx.records[:n])]
-        lhs, rhs, scale = (np.concatenate(side) for side in zip(*sides))
         worst = float((np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, scale), 1e-300)).max())
         return _result(name, worst <= SUM_RULE_TOL, SUM_RULE_TOL - worst,
                        f"max |Sigma(R) - 2 pi <f(H)_(x+e1,x)>| over its scale "
                        f"{worst:.3e} over {n} realizations")
     if n < 2:
         return _skip(name, "needs at least 2 realizations for a stderr")
-    report = cond.sum_rule_mass(ctx.records[:n], ctx.lattice, ctx.thermo)
+    report = cond.sum_rule_mass(lhs, rhs, ctx.lattice)
     allowance = 3.0 * report.gap_stderr_combined + 1e-12 * abs(report.lhs_mean)
     ok = abs(report.gap_mean) <= allowance
     return _result(name, ok, allowance - abs(report.gap_mean),
@@ -300,25 +313,25 @@ def check_sum_rule(ctx: _Context, n: int) -> CheckResult:
 
 def check_wegner(ctx: _Context, n: int) -> CheckResult:
     name = "wegner"
-    if ctx.disorder.strength <= 0:
+    if ctx.config.disorder.strength <= 0:
         return _skip(name, "bound is vacuous at lambda = 0")
     edges = energy_bins(ctx.bounds, ctx.lattice.site_count,
                         n_bins=ctx.config.bins.dos_bins)
-    dos = dos_histogram([r.spectral for r in ctx.records[:n]], edges)
-    report = wegner_check(dos, ctx.disorder)
+    dos = dos_histogram(ctx.spectra[:n], edges)
+    report = wegner_check(dos, ctx.config.disorder)
     return _result(name, report.passed, -report.worst_margin,
                    f"worst bin density excess {report.worst_margin:+.3e} "
                    f"against rho_sup/lambda = {report.bound:.4f}")
 
 
-def check_energy_routes(ctx: _Context) -> CheckResult:
+def check_energy_routes(ctx: _Context, record: Realization) -> CheckResult:
     name = "energy_routes"
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
     dt = ctx.config.dynamics.route_check_dt
-    trace = propagate_liouville(ctx.lattice, ctx.records[0], ctx.config.pulse, 0.05,
+    trace = propagate_liouville(ctx.lattice, record, ctx.config.pulse, 0.05,
                                 ctx.thermo, dt=dt)
     routes = absorbed_energy_td(trace)
     rel = abs(routes.gap) / max(abs(routes.w_energy), 1e-300)
@@ -327,13 +340,13 @@ def check_energy_routes(ctx: _Context) -> CheckResult:
                    f"|W_current - W_energy| / |W| = {rel:.3e} at dt = {dt:g}")
 
 
-def check_oracle_energy(ctx: _Context) -> CheckResult:
+def check_oracle_energy(ctx: _Context, record: Realization) -> CheckResult:
     name = "oracle_energy"
     if ctx.lattice.boundary != DIRICHLET:
         return _skip(name, "time-domain route needs dirichlet boundary")
     if ctx.config.pulse is None:
         return _skip(name, "no pulse configured")
-    extraction, w_lr = absorption_oracle(ctx.config, ctx.records[0])
+    extraction, w_lr = absorption_oracle(ctx.config, record)
     rel = abs(extraction.w_lin - w_lr) / max(w_lr, 1e-300)
     ratio = extraction.ratio_smallest_pair()
     ok = rel <= 0.05 and 3.8 <= ratio <= 4.2
@@ -345,27 +358,25 @@ def check_oracle_energy(ctx: _Context) -> CheckResult:
 def run_verify(config: RunConfig) -> VerifyReport:
     ctx = _Context(config)
     n = config.ensemble["realizations"]
-    small = min(n, 8)
-    medium = min(n, 32)
+    ensemble._measured_blocks(config.lattice, config.disorder, n, ctx.measure, ctx.each)
+    velocity_position, energy_routes, oracle_energy = ctx.first
     checks = [
-        check_velocity_position(ctx),
-        check_commutator_moments(ctx, small),
-        check_positivity(ctx, small),
-        check_support(ctx, small),
-        check_decomposition(ctx, small),
-        check_convolution(ctx, small),
-        check_sandwich(ctx, medium),
-        check_high_t_bound(ctx, medium),
+        velocity_position,
+        check_commutator_moments(ctx, ctx.small),
+        check_positivity(ctx, ctx.small),
+        check_decomposition(ctx, ctx.small),
+        check_convolution(ctx, ctx.small),
+        check_sandwich(ctx, ctx.medium),
+        check_high_t_bound(ctx, ctx.medium),
         check_sum_rule(ctx, n),
         check_wegner(ctx, n),
-        check_energy_routes(ctx),
-        check_oracle_energy(ctx),
+        energy_routes,
+        oracle_energy,
     ]
     # eigendecompose raises past its gates, so these are how close each came
-    solves = [r.spectral for r in ctx.records]
     eigensolve = {
-        "realizations": len(solves),
-        "max_residual": max(s.residual for s in solves),
-        "max_orthonormality_defect": max(s.orthonormality for s in solves),
+        "realizations": len(ctx.spectra),
+        "max_residual": max(s.residual for s in ctx.spectra),
+        "max_orthonormality_defect": max(s.orthonormality for s in ctx.spectra),
     }
     return VerifyReport(checks=checks, eigensolve=eigensolve)

@@ -29,7 +29,9 @@ from aclab import (
     realization_pair_spectrum,
     sandwich_check,
     spectral_bounds,
+    sum_rule_lhs,
     sum_rule_mass,
+    sum_rule_rhs,
     temperature_sweep,
     upsilon_measure,
     wegner_check,
@@ -200,7 +202,10 @@ def test_criterion_7_sum_rule():
     gaps = {}
     for length in (8, 16, 32):
         lattice = LatticeSpec(1, length, "periodic")
-        report = sum_rule_mass(_batch(lattice, disorder, 100), lattice, p)
+        batch = _batch(lattice, disorder, 100)
+        lhs = np.concatenate([sum_rule_lhs(r.pairs, p) for r in batch])
+        rhs = np.array([sum_rule_rhs(r.spectral, lattice, p)[0] for r in batch])
+        report = sum_rule_mass(lhs, rhs, lattice)
         gaps[length] = report
     final = gaps[32]
     within = abs(final.gap_mean) <= 3.0 * final.gap_stderr_combined

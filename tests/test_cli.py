@@ -11,7 +11,6 @@ import pytest
 
 import aclab.conductivity
 import aclab.ensemble
-import aclab.verify
 from aclab.cli import main
 from aclab.config import ConfigError, from_dict, load
 from aclab.verify import run_verify
@@ -430,13 +429,21 @@ class TestVerifyCommand:
         assert 0.0 < block["max_residual"] <= 1e-10
         assert 0.0 < block["max_orthonormality_defect"] <= 1e-10
 
-    def test_support_margin_is_positive_zero(self, tmp_path):
-        path, _ = small_config(tmp_path, ensemble={"realizations": 4})
-        report = run_verify(load(path))
-        support = next(c for c in report.checks if c.name == "support")
-        assert support.status == "pass"
-        assert support.margin == 0.0
-        assert math.copysign(1.0, support.margin) == 1.0
+    def test_verify_json_is_strict_json_when_no_bin_has_upsilon(self, tmp_path):
+        # v = 0 on an L = 2 ring, so sandwich's worst slack over the bins with
+        # Upsilon > 0 is +inf; the file holds null there, not Infinity
+        path, _ = small_config(tmp_path, ensemble={"realizations": 4}, lattice={
+            "dimension": 1, "linear_size": 2, "boundary": "periodic"})
+        assert main(["verify", "--config", str(path)]) in (0, 1)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (tmp_path / "out" / "verify.json").read_text()
+        checks = json.loads(text, parse_constant=refuse)["report"]["checks"]
+        sandwich = next(c for c in checks if c["name"] == "sandwich")
+        assert sandwich["status"] == "pass"
+        assert sandwich["margin"] is None
 
     def test_fault_injection_reported(self, tmp_path, capsys, monkeypatch):
         # negate every pair weight: positivity must fail and the exit reflect it
@@ -488,7 +495,7 @@ class TestVerifyCommand:
 
     def test_commutator_moments_catch_a_scaled_pair_table(self, tmp_path, monkeypatch):
         # the stored nu > eps_deg pairs no longer sum to the stencil's moments
-        original = aclab.verify.realization_pair_spectrum
+        original = aclab.ensemble.realization_pair_spectrum
 
         def scaled(*args):
             record = original(*args)
@@ -496,7 +503,7 @@ class TestVerifyCommand:
                                         velocity_abs2=2.0 * record.pairs.velocity_abs2)
             return dataclasses.replace(record, pairs=pairs)
 
-        monkeypatch.setattr(aclab.verify, "realization_pair_spectrum", scaled)
+        monkeypatch.setattr(aclab.ensemble, "realization_pair_spectrum", scaled)
         assert self._status(tmp_path, "commutator_moments") == "fail"
 
 

@@ -20,7 +20,9 @@ from aclab import (
     sample_potential,
     sandwich_check,
     spectral_bounds,
+    sum_rule_lhs,
     sum_rule_mass,
+    sum_rule_rhs,
     upsilon_measure,
 )
 from aclab.conductivity import (
@@ -29,12 +31,10 @@ from aclab.conductivity import (
     _bin_index,
     _mirror_bin,
     atom_mass,
-    blocks_of,
     gamma_mass,
     high_t_ceiling,
     join,
     psi_total,
-    sum_rule_sides,
     tables_per_block,
     upsilon_total,
 )
@@ -385,12 +385,19 @@ class TestHistogramInvariants:
         assert gaps[-1] < 0.02
 
 
+def _sum_rule_report(records, lattice, p):
+    """sum_rule_mass of the per-realization sides of records."""
+    lhs = np.concatenate([sum_rule_lhs(r.pairs, p) for r in records])
+    rhs = np.array([sum_rule_rhs(r.spectral, lattice, p)[0] for r in records])
+    return sum_rule_mass(lhs, rhs, lattice)
+
+
 class TestSumRule:
     def test_clean_ring_exact(self):
         _, data, ps = _free_ring(32)
         lattice = LatticeSpec(1, 32, "periodic")
         record = Realization(np.zeros(32), data, ps)
-        report = sum_rule_mass([record, record], lattice, ThermoParams(1.0, 0.0))
+        report = _sum_rule_report([record, record], lattice, ThermoParams(1.0, 0.0))
         assert abs(report.gap_mean) < 1e-10
         # closed form: +2 pi mean_k cos(k) f(eps(k)) under hopping -1
         k = 2 * np.pi * np.arange(32) / 32
@@ -406,7 +413,7 @@ class TestSumRule:
         disorder = DisorderSpec(strength=1.0, seed=MASTER_SEED)
         batch = [realization_pair_spectrum(lattice, disorder.with_index(i))
                  for i in range(60)]
-        report = sum_rule_mass(batch, lattice, ThermoParams(1.0, 0.0))
+        report = _sum_rule_report(batch, lattice, ThermoParams(1.0, 0.0))
         assert abs(report.gap_mean) <= 3 * report.gap_stderr_combined
         assert report.lhs_mean > 1.0  # nontrivial total mass at these parameters
 
@@ -414,7 +421,7 @@ class TestSumRule:
         lattice, _, data, ps = two_site
         record = Realization(np.zeros(2), data, ps)
         with pytest.raises(ValueError, match="periodic"):
-            sum_rule_mass([record, record], lattice, ThermoParams(1.0, 0.0))
+            _sum_rule_report([record, record], lattice, ThermoParams(1.0, 0.0))
 
 
 class TestSandwich:
@@ -662,7 +669,8 @@ def test_a_realization_measures_the_same_alone_and_in_a_block(lattice, strength,
                "outside": conductivity_measure(ps, p, wide).mass_outside(bounds[1] - bounds[0]),
                "gamma": gamma_mass(ps, p), "atom_mass": atom_mass(ps, p),
                "upsilon": upsilon.bin_mass, "upsilon_total": upsilon_total(ps),
-               "psi": psi_diagonal(ps).bin_mass, "psi_total": psi_total(ps)}
+               "psi": psi_diagonal(ps).bin_mass, "psi_total": psi_total(ps),
+               "sum_rule_lhs": sum_rule_lhs(ps, p)}
         if temperature > 0:
             out["convolution"] = convolution_check(ps, p, edges).max_rel_gap
             report = sandwich_check(sigma, upsilon, p, bounds)
@@ -671,11 +679,8 @@ def test_a_realization_measures_the_same_alone_and_in_a_block(lattice, strength,
         return out
 
     in_block = measures(block)
-    group = [records[i:i + 1] for i in range(len(records))]
-    in_block["sum_rule"] = np.array(sum_rule_sides(block, records, lattice, p)).T
-    for r, (table, alone) in enumerate(zip(tables, group)):
+    for r, table in enumerate(tables):
         own = measures(table)
-        own["sum_rule"] = np.array(sum_rule_sides(table, alone, lattice, p)).T
         for name, values in own.items():
             assert values.shape[0] == 1, name
             assert _bits(in_block[name][r]) == _bits(values[0]), (name, r)
@@ -731,16 +736,19 @@ def test_a_block_of_one_shares_its_table():
 
 def test_a_table_past_the_budget_is_its_own_block(monkeypatch):
     import aclab.conductivity as cond
+    import aclab.ensemble as ens
 
     lattice = LatticeSpec(1, 12)
-    records = [realization_pair_spectrum(lattice, DisorderSpec(strength=1.0, seed=3).with_index(i))
-               for i in range(3)]
-    monkeypatch.setattr(cond, "BLOCK_BYTES", records[0].pairs.nbytes - 1)
-    blocks = list(blocks_of(records))
-    assert len(blocks) == 3
-    for (block, group), record in zip(blocks, records):
-        assert group == [record] and block.count == 1
-        assert np.shares_memory(block.nu, record.pairs.nu)
+    spec = DisorderSpec(strength=1.0, seed=3)
+    first = realization_pair_spectrum(lattice, spec.with_index(0)).pairs
+    monkeypatch.setattr(cond, "BLOCK_BYTES", first.nbytes - 1)
+    tables = []
+    blocks = ens._measured_blocks(lattice, spec, 3, lambda block: block,
+                                  lambda i, record: tables.append(record.pairs))
+    assert len(blocks) == len(tables) == 3
+    for block, table in zip(blocks, tables):
+        assert block.count == 1
+        assert np.shares_memory(block.nu, table.nu)
 
 
 def test_join_refuses_tables_of_different_bounds():
