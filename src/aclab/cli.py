@@ -2,9 +2,10 @@
 
 Every command is a pure function of its JSON config (plus the --seed /
 --out overrides), runs its realizations serially, writes write-once artifacts
-into the output directory, and exits nonzero with a machine-readable JSON
-error on any validation or invariant failure.  --threads is accepted and
-ignored.
+into the output directory, prints one JSON line to stdout (the files it
+wrote, or the error; verify adds its failed checks, and its per-check lines
+go to stderr), and exits nonzero with a machine-readable JSON error on any
+validation or invariant failure.  --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -68,12 +69,14 @@ def cmd_sigma(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     report = run_verify(config)
-    for line in report.lines():
-        print(line)
+    print("\n".join(report.lines()), file=sys.stderr)
     out = Path(config.output["directory"])
     io.write_json(out / "verify.json", io.measure_header(
         config.to_dict(), "verify", report=report.to_dict(),
         code_version=__version__))
+    print(json.dumps({"status": "ok" if report.passed else "fail",
+                      "files": [str(out / "verify.json")],
+                      "failed": [c.name for c in report.checks if c.status == "fail"]}))
     return 0 if report.passed else 1
 
 

@@ -148,14 +148,13 @@ class MeasureHistogram:
 
     bin_mass holds one row of bins per realization and atom_at_zero one atom
     each.  Frequency measures use a symmetric grid with zero on a bin edge;
-    the energy-axis variant (diagonal measure) reuses the container with
-    meta["axis"] == "energy".  Every total is one value per realization.
+    the energy-axis variant (diagonal measure) reuses the container.  Every
+    total is one value per realization.
     """
 
     bin_edges: np.ndarray
     bin_mass: np.ndarray
     atom_at_zero: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def centers(self) -> np.ndarray:
@@ -431,7 +430,6 @@ def conductivity_measure(ps: PairSpectrum, p: ThermoParams,
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=_mirror_bin(ps, _pair_mass(ps, p), bin_edges),
         atom_at_zero=atom_mass(ps, p),
-        meta={"kind": "sigma", "temperature": p.temperature, "fermi_level": p.fermi_level},
     )
 
 
@@ -441,7 +439,6 @@ def upsilon_measure(ps: PairSpectrum, bin_edges: np.ndarray) -> MeasureHistogram
         bin_edges=np.asarray(bin_edges, dtype=float),
         bin_mass=_mirror_bin(ps, ps.velocity_abs2 / ps.site_count, bin_edges),
         atom_at_zero=np.zeros(ps.count),
-        meta={"kind": "upsilon"},
     )
 
 
@@ -465,7 +462,6 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
         bin_edges=bin_edges,
         bin_mass=_bin_rows(index[inside], mass[inside], ps.count, n_bins),
         atom_at_zero=np.zeros(ps.count),
-        meta={"kind": "psi", "axis": "energy"},
     )
 
 

@@ -127,7 +127,7 @@ SECTIONS = {
     "lattice": (LatticeSpec, {"dimension": _integer, "linear_size": _integer,
                               "boundary": str}, ("dimension", "linear_size")),
     "disorder": (DisorderSpec, {"v_minus": _number, "v_plus": _number, "strength": _number,
-                                "seed": _integer, "distribution": str},
+                                "seed": _integer},
                  ("strength", "seed")),
     "thermo": (ThermoParams, {"temperature": _number, "fermi_level": _number},
                ("temperature",)),

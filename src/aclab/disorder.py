@@ -15,8 +15,6 @@ import numpy as np
 
 from .lattice import LatticeSpec
 
-UNIFORM = "uniform"
-
 
 @dataclass(frozen=True)
 class DisorderSpec:
@@ -27,11 +25,8 @@ class DisorderSpec:
     strength: float = 1.0
     seed: int = 0
     realization_index: int = 0
-    distribution: str = UNIFORM
 
     def __post_init__(self):
-        if self.distribution != UNIFORM:
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
         if not self.v_minus < self.v_plus:
             raise ValueError(
                 f"single-site support must be nondegenerate: v_minus={self.v_minus} "

@@ -31,7 +31,7 @@ from .conductivity import (
     upsilon_total,
 )
 from .disorder import DisorderSpec, sample_potential, spectral_bounds
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, velocity_norm2
 from .spectral import SpectralData, eigendecompose
 from .thermo import ThermoParams
 
@@ -202,15 +202,15 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
     grid point (common random numbers), and every total is read from them
     unbinned.  At each T the per-realization inequalities
     Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| and Gamma(R) > 0 are checked and
-    their outcomes recorded per row; envelope_mean is the mean of
-    (pi/4) ||v||_F^2 / |Lambda| = (pi Upsilon + Psi) / 4, the bound on
-    T Sigma(R).
+    their outcomes recorded per row, with ||v||_F^2 read from the lattice, not
+    from the tables it bounds; envelope_mean is (pi/4) ||v||_F^2 / |Lambda|,
+    the bound on T Sigma(R).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("temperature grid must be positive and strictly increasing")
     blocks = _measured_blocks(lattice, spec, n, lambda block: block)
-    velocity_norm2 = np.concatenate([upsilon_total(b) + psi_total(b) / np.pi for b in blocks])
+    norm2 = velocity_norm2(lattice) / lattice.site_count
 
     table = SweepTable(axis="temperature", grid=t_grid,
                        meta={"realizations": n, "fermi_level": fermi_level})
@@ -229,9 +229,8 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
             "gamma_mass_stderr": float(g_err),
             "atom_mass_mean": float(np.mean(atom)),
             "t_times_sigma": float(t_value * s_mean),
-            "envelope_mean": float(np.pi / 4.0 * np.mean(velocity_norm2)),
-            "high_t_bound_ok": bool(np.all(
-                sigma_tot <= high_t_ceiling(t_value, velocity_norm2))),
+            "envelope_mean": np.pi / 4.0 * norm2,
+            "high_t_bound_ok": bool(np.all(sigma_tot <= high_t_ceiling(t_value, norm2))),
             "gamma_positive": bool(np.all(gamma_tot > 0.0)),
         })
     return table

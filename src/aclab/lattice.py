@@ -130,6 +130,16 @@ def build_velocity(spec: LatticeSpec) -> np.ndarray:
     return vel
 
 
+def velocity_norm2(spec: LatticeSpec) -> float:
+    """||v||_F^2 of build_velocity(spec), in O(site_count): its count of unit entries.
+
+    Each in-box forward neighbour gives one entry and its backward partner
+    another; on an L=2 ring the two amplitudes meet on one entry and cancel.
+    """
+    forward, backward = spec.neighbor_shift(0, +1), spec.neighbor_shift(0, -1)
+    return float(2 * np.count_nonzero((forward >= 0) & (forward != backward)))
+
+
 def position_values(spec: LatticeSpec) -> np.ndarray:
     """Diagonal of the first-coordinate operator X1, centred at the box midpoint.
 

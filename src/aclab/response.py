@@ -248,7 +248,6 @@ class ExtractionResult:
     """Quadratic-response intercept of W(alpha)/alpha^2 with fit diagnostics."""
 
     w_lin: float
-    curvature: float
     alphas: np.ndarray
     w_values: np.ndarray
     ratios: np.ndarray
@@ -296,7 +295,6 @@ def linear_response_extract(lattice: LatticeSpec, realization, pulse: FieldPulse
         ratios = w_values[:-1] / w_values[1:]
     return ExtractionResult(
         w_lin=float(coef[0]),
-        curvature=float(coef[1]),
         alphas=alphas,
         w_values=w_values,
         ratios=ratios,

@@ -19,7 +19,7 @@ from .disorder import spectral_bounds
 from .ensemble import Realization
 # Unused here; perfbench's tracer test checks that tracing patches this binding.
 from .ensemble import realization_pair_spectrum  # noqa: F401
-from .lattice import DIRICHLET, build_velocity, position_values
+from .lattice import DIRICHLET, build_velocity, velocity_norm2
 from .response import ExtractionResult, absorbed_energy_lr, absorbed_energy_td, \
     linear_response_extract, propagate_liouville
 from .spectral import dos_histogram, energy_bins, subtract_hopping, wegner_check
@@ -92,17 +92,16 @@ class _Context:
         self.bounds = spectral_bounds(config.disorder, self.lattice)
         self.bin_edges = config.frequency_edges()
         self.hop = (1j * build_velocity(self.lattice)).real  # A = i v, real antisymmetric
-        self.hop_norm2 = float(np.vdot(self.hop, self.hop))  # ||A||_F^2 = ||v||_F^2
+        self.hop_norm2 = velocity_norm2(self.lattice)  # ||A||_F^2 = ||v||_F^2
         n = config.ensemble["realizations"]
         self.small, self.medium = min(n, 8), min(n, 32)
-        self.first = []    # the checks that read or drive realization 0
+        self.first = []    # the time-domain checks, which drive realization 0
         self.spectra = []  # every eigensystem, without its eigenvectors
         self.rows = defaultdict(list)
 
     def each(self, i: int, record: Realization):
         if i == 0:
-            self.first = [check_velocity_position(self, record),
-                          check_energy_routes(self, record),
+            self.first = [check_energy_routes(self, record),
                           check_oracle_energy(self, record)]
         if i < self.small:
             self.rows["commutator_moments"].append([_moment_gap(self, record)])
@@ -149,21 +148,6 @@ def absorption_oracle(config: RunConfig,
     fine = cond.frequency_bins(ps.bounds, lattice.site_count, bins_per_side=4096)
     sigma = cond.conductivity_measure(ps, config.thermo, fine)
     return extraction, float(absorbed_energy_lr(sigma, config.pulse)[0])
-
-
-def check_velocity_position(ctx: _Context, record: Realization) -> CheckResult:
-    name = "velocity_position"
-    if ctx.lattice.boundary != DIRICHLET:
-        return _skip(name, "position operator needs dirichlet boundary")
-    data = record.spectral
-    a_eig = data.vectors.T @ ctx.hop @ data.vectors  # i v_nm
-    x_eig = data.vectors.T @ (position_values(ctx.lattice)[:, None] * data.vectors)
-    gaps = data.energies[:, None] - data.energies[None, :]
-    defect = np.abs(a_eig + gaps * x_eig).max()  # |v_nm - i(E_n-E_m) x_nm|
-    scale = max(np.abs(a_eig).max(), 1.0)
-    tol = 1e-10 * scale
-    return _result(name, defect <= tol, tol - defect,
-                   f"max |v_nm - i(E_n-E_m) x_nm| = {defect:.3e} (tol {tol:.1e})")
 
 
 def _moment_gap(ctx: _Context, record: Realization) -> float:
@@ -359,9 +343,8 @@ def run_verify(config: RunConfig) -> VerifyReport:
     ctx = _Context(config)
     n = config.ensemble["realizations"]
     ensemble._measured_blocks(config.lattice, config.disorder, n, ctx.measure, ctx.each)
-    velocity_position, energy_routes, oracle_energy = ctx.first
+    energy_routes, oracle_energy = ctx.first
     checks = [
-        velocity_position,
         check_commutator_moments(ctx, ctx.small),
         check_positivity(ctx, ctx.small),
         check_decomposition(ctx, ctx.small),

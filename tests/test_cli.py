@@ -84,7 +84,6 @@ MALFORMED = [
     ("thermo.fermi_level", None),
     ("disorder.v_minus", None),
     ("disorder.v_plus", None),
-    ("disorder.distribution", None),
     ("lattice.boundary", None),
     ("pulse.carrier", None),
     ("sweeps.temperature", None),
@@ -109,8 +108,7 @@ MALFORMED = [
 FULL_CONFIG = {
     "format_version": 1,
     "lattice": {"dimension": 2, "linear_size": 4, "boundary": "dirichlet"},
-    "disorder": {"v_minus": -0.5, "v_plus": 1.5, "strength": 2.0, "seed": 17,
-                 "distribution": "uniform"},
+    "disorder": {"v_minus": -0.5, "v_plus": 1.5, "strength": 2.0, "seed": 17},
     "thermo": {"temperature": 0.5, "fermi_level": 0.3},
     "bins": {"frequency_bins_per_side": 40, "nu_max": 3.0, "dos_bins": 24},
     "ensemble": {"realizations": 3},
@@ -175,7 +173,7 @@ class TestConfig:
         config = load(path)
         again = from_dict(config.to_dict())
         assert again == config
-        # every key set away from its default (the only distribution is "uniform")
+        # every key set away from its default
         assert from_dict(FULL_CONFIG).to_dict() == FULL_CONFIG
         assert from_dict(from_dict(FULL_CONFIG).to_dict()) == from_dict(FULL_CONFIG)
 
@@ -382,13 +380,17 @@ class TestVerifyCommand:
             "dimension": 1, "linear_size": 16, "boundary": "periodic"},
             ensemble={"realizations": 12})
         code = main(["verify", "--config", str(path)])
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
         assert code == 0
         assert any("sum_rule" in line and "PASS" in line for line in lines)
-        assert any("velocity_position" in line and "SKIPPED" in line
+        assert any("energy_routes" in line and "SKIPPED" in line
                    for line in lines)
+        assert json.loads(captured.out) == {
+            "status": "ok", "files": [str(tmp_path / "out" / "verify.json")], "failed": []}
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["report"]["passed"] is True
+        assert len(report["report"]["checks"]) == 10
 
     def test_one_eigensolve_per_realization(self, tmp_path, eigh_calls):
         path, _ = small_config(tmp_path, lattice={
@@ -452,9 +454,13 @@ class TestVerifyCommand:
                             lambda *args: -original(*args))
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})
         code = main(["verify", "--config", str(path)])
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
         assert code == 1
         assert any("positivity" in line and "FAIL" in line for line in lines)
+        message = json.loads(captured.out)
+        assert message["status"] == "fail"
+        assert "positivity" in message["failed"]
 
     @staticmethod
     def _status(tmp_path, name):

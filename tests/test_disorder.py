@@ -67,8 +67,6 @@ def test_validation():
         DisorderSpec(strength=-1.0)
     with pytest.raises(ValueError, match="nondegenerate"):
         DisorderSpec(v_minus=1.0, v_plus=1.0)
-    with pytest.raises(ValueError, match="distribution"):
-        DisorderSpec(distribution="gaussian")
 
 
 def test_density_sup_uniform():

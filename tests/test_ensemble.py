@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+import aclab.ensemble as ens
 
 from aclab import (
     DisorderSpec,
@@ -116,6 +120,24 @@ class TestTemperatureSweep:
         table = temperature_sweep(DISORDER, LATTICE, 0.0, grid, n=16)
         for row in table.rows:
             assert row["t_times_sigma"] <= row["envelope_mean"] * (1 + 1e-12)
+
+    def test_a_doubled_table_breaks_the_high_t_bound(self, monkeypatch):
+        # the bound reads ||v||_F^2 from the lattice: a table whose every |v|^2
+        # is doubled would also double a ceiling read from the table itself
+        solve = ens.realization_pair_spectrum
+
+        def doubled(lattice, spec):
+            record = solve(lattice, spec)
+            pairs = dataclasses.replace(record.pairs,
+                                        velocity_abs2=2.0 * record.pairs.velocity_abs2,
+                                        degenerate_abs2=2.0 * record.pairs.degenerate_abs2)
+            return dataclasses.replace(record, pairs=pairs)
+
+        monkeypatch.setattr(ens, "realization_pair_spectrum", doubled)
+        grid = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+        table = temperature_sweep(DISORDER, LatticeSpec(1, 32, "periodic"), 0.0, grid, n=8)
+        assert not any(row["high_t_bound_ok"] for row in table.rows)
+        assert table.rows[-1]["envelope_mean"] == np.pi / 2
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="grid"):

@@ -10,6 +10,7 @@ mass np.histogram puts there.
 """
 
 import dataclasses
+import functools
 import weakref
 
 import numpy as np
@@ -21,6 +22,7 @@ from aclab import DisorderSpec, FieldPulse, LatticeSpec, ThermoParams, ensemble_
 from aclab.config import DynamicsSettings, RunConfig
 import aclab.conductivity as cond
 import aclab.ensemble as ens
+import aclab.verify as ver
 from aclab.verify import run_verify
 
 from conftest import MASTER_SEED, lattices
@@ -57,12 +59,18 @@ def _swapped_energies(record, lattice):
     return dataclasses.replace(record.pairs, energies=energies)
 
 
-def _rotated_vectors(record, lattice):
-    # the table of an eigenbasis off by a 1e-6 rotation of columns 5 and 6
+def _rotated_eigensystem(record, lattice):
+    # an eigenbasis off by a 1e-6 rotation of columns 5 and 6, its table as solved
     vectors = record.spectral.vectors.copy()
     c, s = np.cos(1e-6), np.sin(1e-6)
     vectors[:, [5, 6]] = vectors[:, [5, 6]] @ np.array([[c, s], [-s, c]])
-    return pair_spectrum(dataclasses.replace(record.spectral, vectors=vectors), lattice)
+    return dataclasses.replace(record, spectral=dataclasses.replace(record.spectral,
+                                                                    vectors=vectors))
+
+
+def _rotated_vectors(record, lattice):
+    # the table of the rotated eigenbasis
+    return pair_spectrum(_rotated_eigensystem(record, lattice).spectral, lattice)
 
 
 def _dropped_pair(record, lattice):
@@ -128,16 +136,48 @@ def _scaled_nu(factor):
     return fault
 
 
-def _on_tables(corrupt):
-    """Every realization the pipeline solves carries corrupt(record, lattice) as its table."""
+def _on_records(corrupt):
+    """Every realization the pipeline solves is replaced by corrupt(record, lattice)."""
     def inject(monkeypatch):
         solve = ens.realization_pair_spectrum
+        monkeypatch.setattr(ens, "realization_pair_spectrum",
+                            lambda lattice, spec: corrupt(solve(lattice, spec), lattice))
+    return inject
 
-        def corrupted(lattice, spec):
-            record = solve(lattice, spec)
-            return dataclasses.replace(record, pairs=corrupt(record, lattice))
 
-        monkeypatch.setattr(ens, "realization_pair_spectrum", corrupted)
+def _on_tables(corrupt):
+    """Every realization the pipeline solves carries corrupt(record, lattice) as its table."""
+    return _on_records(lambda record, lattice: dataclasses.replace(
+        record, pairs=corrupt(record, lattice)))
+
+
+def _nudged_potential(record, lattice):
+    potential = record.potential.copy()
+    potential[0] += 1e-6
+    return dataclasses.replace(record, potential=potential)
+
+
+def _pulled_energies(factor):
+    # the eigensystem's energies (not the table's) pulled towards their mean
+    def fault(record, lattice):
+        e = record.spectral.energies
+        return dataclasses.replace(record, spectral=dataclasses.replace(
+            record.spectral, energies=e.mean() + factor * (e - e.mean())))
+    return fault
+
+
+def _scaled_output(module, name, factor, attr=None):
+    """module.name returns its result, or the result's attr, times factor."""
+    def inject(monkeypatch):
+        original = getattr(module, name)
+
+        def scaled(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if attr is None:
+                return factor * out
+            return dataclasses.replace(out, **{attr: factor * getattr(out, attr)})
+
+        monkeypatch.setattr(module, name, scaled)
     return inject
 
 
@@ -148,39 +188,87 @@ def _nu_binned_high(monkeypatch):
 
 
 OPEN_CHAIN = LatticeSpec(1, 12, "dirichlet")
-# fault: (injection, box, disorder strength, the checks it must fail).  On the
-# clean ring all mass is degenerate and the atom's (-f)' sits just under 1/4T;
-# sum_rule fails on every clean periodic box, so it is not asked there.  Every
+# the boxes of the fault matrix; d1L3-pulse is small enough for both
+# time-domain checks to run in about a second
+BOXES = {
+    "clean-ring": _config(RING, 0.0),
+    "ring": _config(RING, 1.0),
+    "d1L12-dirichlet": _config(OPEN_CHAIN, 1.0),
+    "d1L3-pulse": dataclasses.replace(
+        _config(LatticeSpec(1, 3, "dirichlet"), 1.0),
+        pulse=FieldPulse(amplitude=1.0, width=1.0, carrier=2.0),
+        dynamics=DynamicsSettings(dt=0.01, route_check_dt=2e-4)),
+}
+
+
+@functools.cache
+def _clean_statuses(box: str) -> dict:
+    """One clean run per box, shared by every case on it."""
+    return _statuses(BOXES[box])
+
+
+# fault: (injection, box, the checks it must fail).  On the clean ring all
+# mass is degenerate and the atom's (-f)' sits just under 1/4T; sum_rule
+# fails on every clean periodic box, so it is not asked there.  Every
 # measure and both sides of convolution bin through _mirror_bin, so only
 # positivity's np.histogram sees a misplaced nu, and only convolution's
-# half-tanh oracle reads a stored nu against the energies.
+# half-tanh oracle reads a stored nu against the energies.  The eigensystem
+# faults leave the table as solved; without a pulse only the sum rule's right
+# side reads the eigenvectors, only wegner and that side read the
+# eigensystem's energies, and only commutator_moments reads the potential.
 FAULT_MATRIX = {
-    "atom-x1.05-ring": (_on_tables(_scaled_atom(1.05)), RING, 0.0,
+    "atom-x1.05-ring": (_on_tables(_scaled_atom(1.05)), "clean-ring",
                         {"high_t_bound", "commutator_moments"}),
-    "atom-x1.5-ring": (_on_tables(_scaled_atom(1.5)), RING, 0.0,
+    "atom-x1.5-ring": (_on_tables(_scaled_atom(1.5)), "clean-ring",
                        {"high_t_bound", "commutator_moments"}),
-    "atom-x3-ring": (_on_tables(_scaled_atom(3.0)), RING, 0.0,
+    "atom-x3-ring": (_on_tables(_scaled_atom(3.0)), "clean-ring",
                      {"high_t_bound", "commutator_moments"}),
-    "doubled-ring": (_on_tables(_doubled), RING, 1.0, {"high_t_bound", "commutator_moments"}),
-    "doubled-d1L12-dirichlet": (_on_tables(_doubled), OPEN_CHAIN, 1.0,
+    "doubled-ring": (_on_tables(_doubled), "ring", {"high_t_bound", "commutator_moments"}),
+    "doubled-d1L12-dirichlet": (_on_tables(_doubled), "d1L12-dirichlet",
                                 {"high_t_bound", "sum_rule", "commutator_moments"}),
-    "nu-binned-high-ring": (_nu_binned_high, RING, 1.0, {"positivity"}),
-    "nu-binned-high-d1L12-dirichlet": (_nu_binned_high, OPEN_CHAIN, 1.0, {"positivity"}),
-    "nu-x1.01-ring": (_on_tables(_scaled_nu(1.01)), RING, 1.0, {"convolution"}),
-    "nu-x1.01-d1L12-dirichlet": (_on_tables(_scaled_nu(1.01)), OPEN_CHAIN, 1.0,
+    "nu-binned-high-ring": (_nu_binned_high, "ring", {"positivity"}),
+    "nu-binned-high-d1L12-dirichlet": (_nu_binned_high, "d1L12-dirichlet", {"positivity"}),
+    "nu-x1.01-ring": (_on_tables(_scaled_nu(1.01)), "ring", {"convolution"}),
+    "nu-x1.01-d1L12-dirichlet": (_on_tables(_scaled_nu(1.01)), "d1L12-dirichlet",
                                  {"convolution"}),
+    "gamma-mass-x(1+1e-9)-ring": (_scaled_output(cond, "gamma_mass", 1 + 1e-9), "ring",
+                                  {"decomposition"}),
+    "rotated-eigenvectors-d1L12-dirichlet": (_on_records(_rotated_eigensystem),
+                                             "d1L12-dirichlet", {"sum_rule"}),
+    "potential-nudged-ring": (_on_records(_nudged_potential), "ring",
+                              {"commutator_moments"}),
+    "potential-nudged-d1L12-dirichlet": (_on_records(_nudged_potential), "d1L12-dirichlet",
+                                         {"commutator_moments"}),
+    "upsilon-halved-ring": (_scaled_output(cond, "upsilon_measure", 0.5, "bin_mass"), "ring",
+                            {"sandwich"}),
+    "energies-pulled-0.3-ring": (_on_records(_pulled_energies(0.3)), "ring",
+                                 {"wegner", "sum_rule"}),
+    "current-x(1+1e-6)-d1L3-pulse": (
+        _scaled_output(ver, "propagate_liouville", 1 + 1e-6, "current"), "d1L3-pulse",
+        {"energy_routes"}),
+    "w-lr-x1.1-d1L3-pulse": (_scaled_output(ver, "absorbed_energy_lr", 1.1), "d1L3-pulse",
+                             {"oracle_energy"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_MATRIX))
 def test_fault_matrix(case, monkeypatch):
-    inject, lattice, strength, must_fail = FAULT_MATRIX[case]
-    config = _config(lattice, strength)
-    clean = _statuses(config)
+    inject, box, must_fail = FAULT_MATRIX[case]
+    clean = _clean_statuses(box)
     assert all(clean[name] == "pass" for name in must_fail)
     inject(monkeypatch)
-    faulty = _statuses(config)
+    faulty = _statuses(BOXES[box])
     assert {name: faulty[name] for name in must_fail} == dict.fromkeys(must_fail, "fail")
+
+
+def test_every_check_has_a_fault_it_fails():
+    # a check that no fault fails shows nothing: every check that a clean
+    # periodic run or a clean open run with a pulse reports must be asked to
+    # fail by some case, and every case must ask for at least one failure
+    assert all(must_fail for _, _, must_fail in FAULT_MATRIX.values())
+    asked = set().union(*(must_fail for _, _, must_fail in FAULT_MATRIX.values()))
+    for box in ("ring", "d1L3-pulse"):
+        assert set(_clean_statuses(box)) <= asked
 
 
 @pytest.mark.parametrize("lattice", [LatticeSpec(2, 8), LatticeSpec(3, 4), LatticeSpec(1, 2),
