@@ -19,8 +19,8 @@ from .conductivity import (
     psi_total,
     sandwich_check,
     sum_rule_lhs,
-    sum_rule_mass,
     sum_rule_rhs,
+    twist_drift,
     upsilon_measure,
     upsilon_total,
 )

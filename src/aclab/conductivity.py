@@ -44,11 +44,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lattice import LatticeSpec, PERIODIC
-from .spectral import BOUNDS_SLACK, SpectralData, energy_bins
-from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
+from .spectral import BOUNDS_SLACK, SpectralData, build_hamiltonian, energy_bins
+from .thermo import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, grand_potential, pair_weight
 
 DEGENERACY_SCALE = 1e-10
-DECOMPOSITION_TOL = 1e-12  # binned against unbinned Gamma mass, relative
 CONVOLUTION_TOL = 1e-8     # direct against half-tanh thermal bins, relative
 # Pair-table bytes joined into one block: a d=1 L=32 table is 12.5 kB, so a
 # block holds 10 of them, and a block's join and measure temporaries stay
@@ -166,21 +165,11 @@ class MeasureHistogram:
     def total(self) -> np.ndarray:
         return self.atom_at_zero + self.binned_total()
 
-    def _check_symmetric(self):
-        n = self.bin_mass.shape[-1]
-        if n % 2 or self.bin_edges[n // 2] != 0.0:
-            raise ValueError("histogram is not a symmetric frequency grid")
-
-    def mass_outside(self, diameter: float) -> np.ndarray:
-        """Total mass in bins lying entirely outside [-diameter, diameter]."""
-        self._check_symmetric()
-        outside = self.bin_edges[:-1] >= diameter
-        return self.bin_mass[..., outside | outside[::-1]].sum(axis=-1)
-
     def near_zero_mass(self) -> np.ndarray:
         """Atom plus the two bins adjacent to zero (collapse diagnostic)."""
-        self._check_symmetric()
-        mid = self.bin_mass.shape[-1] // 2
+        mid, odd = divmod(self.bin_mass.shape[-1], 2)
+        if odd or self.bin_edges[mid] != 0.0:
+            raise ValueError("histogram is not a symmetric frequency grid")
         return self.atom_at_zero + (self.bin_mass[..., mid - 1] + self.bin_mass[..., mid])
 
 
@@ -208,6 +197,13 @@ def _shifted_rows(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
     rows = vectors[target]
     rows[target < 0] = 0.0
     return rows
+
+
+def hop_rows(vectors: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Q[x + e1] - Q[x - e1] for every site x: i v applied to the columns of vectors."""
+    hop = _shifted_rows(vectors, lattice.neighbor_shift(0, +1))
+    hop -= _shifted_rows(vectors, lattice.neighbor_shift(0, -1))
+    return hop
 
 
 def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,10 +234,7 @@ def pair_spectrum(data: SpectralData, lattice: LatticeSpec) -> PairSpectrum:
     e = data.energies
     bounds = data.bounds or (float(e[0]), float(e[-1]))
     eps = degeneracy_threshold(bounds)
-    hop = _shifted_rows(q, lattice.neighbor_shift(0, +1))
-    hop -= _shifted_rows(q, lattice.neighbor_shift(0, -1))
-    abs2 = q.T @ hop
-    del hop
+    abs2 = q.T @ hop_rows(q, lattice)
     np.square(abs2, out=abs2)
     rows, cols = _lower_triangle(n)
     nu = e[rows] - e[cols]
@@ -465,16 +458,6 @@ def psi_diagonal(ps: PairSpectrum, bin_edges: np.ndarray | None = None) -> Measu
     )
 
 
-@dataclass(frozen=True)
-class SumRuleReport:
-    """Ensemble comparison of total measure mass against the hopping trace."""
-
-    lhs_mean: float
-    rhs_mean: float
-    gap_mean: float
-    gap_stderr_combined: float
-
-
 def sum_rule_lhs(ps: PairSpectrum, p: ThermoParams) -> np.ndarray:
     """Left side of the total-mass identity per realization of a block: gamma_mass + tangent atom."""
     return gamma_mass(ps, p) + _tangent_atom(ps, p)
@@ -490,7 +473,7 @@ def sum_rule_rhs(data: SpectralData, lattice: LatticeSpec, p: ThermoParams) -> t
     neighbour adds nothing.  The scale, the same sum of f(E_k) |b_k|, bounds
     the right side's rounding, which the left side's nonnegative terms do not
     need.  On open boxes the identity is exact per realization; on periodic
-    ones it misses the twist stiffness, which vanishes rapidly with L.
+    ones it holds once twist_drift, the twist stiffness, is subtracted.
     """
     q = data.vectors
     band = np.einsum("xk,xk->k", _shifted_rows(q, lattice.neighbor_shift(0, +1)), q)
@@ -499,27 +482,43 @@ def sum_rule_rhs(data: SpectralData, lattice: LatticeSpec, p: ThermoParams) -> t
     return norm * float(band @ f), norm * float(np.abs(band) @ f)
 
 
-def sum_rule_mass(lhs: np.ndarray, rhs: np.ndarray, lattice: LatticeSpec) -> SumRuleReport:
-    """Compare the ensemble means of the per-realization sides of a periodic box.
+def twist_drift(lattice: LatticeSpec, potential: np.ndarray, p: ThermoParams,
+                tol: float) -> tuple[float | None, int]:
+    """(pi / |Lambda|) Omega''(0) of one periodic realization, and the M it took.
 
-    lhs and rhs are arrays of one sum_rule_lhs and one sum_rule_rhs value per
-    realization.  Each realization misses the twist stiffness there, so the
-    gap is compared with the ensemble's standard error rather than with
-    rounding.
+    Omega(theta) = Tr G(H(theta)), G' = f, with every axis-0 hopping -e^{+-i theta};
+    per realization sum_rule_lhs = sum_rule_rhs - (pi / |Lambda|) Omega''(0) (Kohn,
+    Phys. Rev. 133, A171 (1964)).  On the seam bonds, from x at L - 1 to x + e1, the
+    twist is phi = L theta, and Omega is even and 2 pi periodic in phi, so
+    Omega''(0) = -L^2 sum_k k^2 c_k over its cosine coefficients at M phases, each
+    from an eigenvalue-only solve of H(phi).  M doubles from 8 while the top term
+    exceeds tol; past 64 the drift is None.  An open box is refused: the twist is a
+    gauge there, and the drift 0.
     """
     if lattice.boundary != PERIODIC:
-        raise ValueError("sum rule ensemble comparison requires periodic boundary")
-    n = len(lhs)
-    if n < 2:
-        raise ValueError("sum rule needs at least 2 realizations for a stderr")
-    root_n = np.sqrt(n)
-    return SumRuleReport(
-        lhs_mean=float(lhs.mean()),
-        rhs_mean=float(rhs.mean()),
-        gap_mean=float((lhs - rhs).mean()),
-        gap_stderr_combined=float(np.hypot(lhs.std(ddof=1) / root_n,
-                                           rhs.std(ddof=1) / root_n)),
-    )
+        raise ValueError("the twist stiffness needs a periodic boundary")
+    size, h = lattice.linear_size, build_hamiltonian(lattice, potential)
+    seam = np.flatnonzero(lattice.coordinates()[:, 0] == size - 1)
+    across = lattice.neighbor_shift(0, +1)[seam]
+    g0 = grand_potential(np.linalg.eigvalsh(h), p)
+
+    def omega(phi: float) -> float:  # Omega(phi) - Omega(0), summed level by level
+        twisted = h.astype(complex)
+        twisted[across, seam] += 1.0 - np.exp(1j * phi)
+        twisted[seam, across] += 1.0 - np.exp(-1j * phi)
+        levels = np.linalg.eigvalsh(twisted.real if phi == np.pi else twisted)
+        return float((grand_potential(levels, p) - g0).sum())
+
+    values = np.array([0.0, omega(np.pi / 2), omega(np.pi)])
+    for m in (8, 16, 32, 64):  # values[j] is at phi = 2 pi j / m, j = 0..m/2
+        values = np.insert(values, range(1, len(values)),
+                           [omega(2.0 * np.pi * j / m) for j in range(1, m // 2, 2)])
+        cosines = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / m
+        cosines[1:m // 2] *= 2.0
+        terms = (np.pi * size ** 2 / lattice.site_count) * np.arange(m // 2 + 1) ** 2 * cosines
+        if abs(terms[-1]) <= tol:
+            return -float(terms.sum()), m
+    return None, m
 
 
 def high_t_ceiling(temperature, velocity_norm2):

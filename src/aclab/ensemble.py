@@ -198,26 +198,26 @@ def temperature_sweep(spec: DisorderSpec, lattice: LatticeSpec, fermi_level: flo
                       t_grid, n: int = 32) -> SweepTable:
     """Scalar summaries versus temperature, with the per-realization bounds enforced.
 
-    Pair tables are computed once, joined into blocks, and reused at every
-    grid point (common random numbers), and every total is read from them
-    unbinned.  At each T the per-realization inequalities
-    Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| and Gamma(R) > 0 are checked and
-    their outcomes recorded per row, with ||v||_F^2 read from the lattice, not
-    from the tables it bounds; envelope_mean is (pi/4) ||v||_F^2 / |Lambda|,
-    the bound on T Sigma(R).
+    Pair tables are computed once, joined into blocks, and each block is
+    reduced to its totals at every grid point (common random numbers), read
+    unbinned, before it is released.  At each T the per-realization
+    inequalities Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| and Gamma(R) > 0 are
+    checked and their outcomes recorded per row, with ||v||_F^2 read from the
+    lattice, not from the tables it bounds; envelope_mean is
+    (pi/4) ||v||_F^2 / |Lambda|, the bound on T Sigma(R).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("temperature grid must be positive and strictly increasing")
-    blocks = _measured_blocks(lattice, spec, n, lambda block: block)
+    thermos = [ThermoParams(temperature=float(t), fermi_level=fermi_level) for t in t_grid]
+    rows = _measured_blocks(lattice, spec, n, lambda block: np.array(
+        [[gamma_mass(block, p), atom_mass(block, p)] for p in thermos]))
+    totals = np.concatenate(rows, axis=-1)  # (temperature, gamma or atom, realization)
     norm2 = velocity_norm2(lattice) / lattice.site_count
 
     table = SweepTable(axis="temperature", grid=t_grid,
                        meta={"realizations": n, "fermi_level": fermi_level})
-    for t_value in t_grid:
-        p = ThermoParams(temperature=float(t_value), fermi_level=fermi_level)
-        gamma_tot = np.concatenate([gamma_mass(b, p) for b in blocks])
-        atom = np.concatenate([atom_mass(b, p) for b in blocks])
+    for t_value, (gamma_tot, atom) in zip(t_grid, totals):
         sigma_tot = gamma_tot + atom
         s_mean, s_err = _mean_stderr(sigma_tot)
         g_mean, g_err = _mean_stderr(gamma_tot)

@@ -39,6 +39,16 @@ def fermi(energy, p: ThermoParams):
     return out if out.ndim else float(out)
 
 
+def grand_potential(energy, p: ThermoParams):
+    """G = min(E - mu, 0) - T log1p(e^-|E - mu|/T) = -T log(1 + e^-(E - mu)/T), so G' = f."""
+    gap = np.asarray(energy, dtype=float) - p.fermi_level
+    if p.temperature == 0.0:
+        return np.minimum(gap, 0.0)
+    with np.errstate(over="ignore"):  # |gap| / T past the float range is inf; e^-inf is 0
+        tail = np.exp(-np.abs(gap) / p.temperature)
+    return np.minimum(gap, 0.0) - p.temperature * np.log1p(tail)
+
+
 def fermi_derivative_neg(energy, p: ThermoParams):
     """(-f)'(E) = e^x / (T (e^x + 1)^2) with x = (E - mu)/T; peak 1/(4T) at E = mu."""
     if p.temperature == 0.0:

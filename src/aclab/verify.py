@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .disorder import spectral_bounds
 from .ensemble import Realization
 # Unused here; perfbench's tracer test checks that tracing patches this binding.
 from .ensemble import realization_pair_spectrum  # noqa: F401
-from .lattice import DIRICHLET, build_velocity, velocity_norm2
+from .lattice import DIRICHLET, velocity_norm2
 from .response import ExtractionResult, absorbed_energy_lr, absorbed_energy_td, \
     linear_response_extract, propagate_liouville
 from .spectral import dos_histogram, energy_bins, subtract_hopping, wegner_check
@@ -27,6 +27,7 @@ from .thermo import ThermoParams
 
 MOMENT_TOL = 1e-12  # commutator moments against the pair table, relative to their bound
 SUM_RULE_TOL = 1e-12  # open-box total mass against the hopping trace, relative
+TWISTED_SUM_RULE_TOL = 5e-10  # the same less the twist drift: 10x CHANGES.md's worst residual
 PLACEMENT_TOL = 1e-12  # sigma bins against np.histogram, relative to the largest bin
 HIGH_T_GRID = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 # sandwich's (T, mu): the config's T times each scale, its mu plus each shift
@@ -39,10 +40,6 @@ class CheckResult:
     status: str  # "pass" | "fail" | "skipped"
     margin: float | None
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "margin": self.margin, "detail": self.detail}
 
 
 @dataclass
@@ -62,7 +59,7 @@ class VerifyReport:
         return out
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks],
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks],
                 "eigensolve": self.eigensolve}
 
 
@@ -91,11 +88,12 @@ class _Context:
         self.thermo = config.thermo
         self.bounds = spectral_bounds(config.disorder, self.lattice)
         self.bin_edges = config.frequency_edges()
-        self.hop = (1j * build_velocity(self.lattice)).real  # A = i v, real antisymmetric
+        self.hop = cond.hop_rows(np.eye(self.lattice.site_count), self.lattice)  # A = i v
         self.hop_norm2 = velocity_norm2(self.lattice)  # ||A||_F^2 = ||v||_F^2
         n = config.ensemble["realizations"]
         self.small, self.medium = min(n, 8), min(n, 32)
         self.first = []    # the time-domain checks, which drive realization 0
+        self.potential = None  # realization 0's, for the twist drift
         self.spectra = []  # every eigensystem, without its eigenvectors
         self.rows = defaultdict(list)
 
@@ -103,6 +101,7 @@ class _Context:
         if i == 0:
             self.first = [check_energy_routes(self, record),
                           check_oracle_energy(self, record)]
+            self.potential = record.potential
         if i < self.small:
             self.rows["commutator_moments"].append([_moment_gap(self, record)])
         self.rows["sum_rule_rhs"].append(
@@ -116,9 +115,6 @@ class _Context:
         if start < self.small:
             sigma = cond.conductivity_measure(block, p, self.bin_edges)
             rows["positivity"].append(_placement(self, block, sigma))
-            exact = cond.gamma_mass(block, p)
-            rows["decomposition"].append(
-                np.abs(sigma.binned_total() - exact) / np.maximum(exact, 1e-300))
             if p.temperature > 0:
                 rows["convolution"].append(
                     cond.convolution_check(block, p, self.bin_edges).max_rel_gap)
@@ -215,13 +211,6 @@ def check_positivity(ctx: _Context, n: int) -> CheckResult:
                    f"{atom:.3e}, largest |mass| of an empty bin {stray:.3e}")
 
 
-def check_decomposition(ctx: _Context, n: int) -> CheckResult:
-    worst = float(ctx.prefix("decomposition", n).max())
-    tol = cond.DECOMPOSITION_TOL
-    return _result("decomposition", worst <= tol, tol - worst,
-                   f"binned vs unbinned Gamma mass: max relative gap {worst:.3e}")
-
-
 def check_convolution(ctx: _Context, n: int) -> CheckResult:
     name = "convolution"
     if ctx.thermo.temperature <= 0:
@@ -276,23 +265,25 @@ def check_high_t_bound(ctx: _Context, n: int) -> CheckResult:
 
 
 def check_sum_rule(ctx: _Context, n: int) -> CheckResult:
+    # Sigma(R) = 2 pi <f(H)_(x+e1,x)> - (pi/|Lambda|) Omega'' per realization, each gap
+    # over its own rounding scale.  The drift term is 0 on open boxes; on a periodic box
+    # its twisted solves take seconds at d=3, L=12, so realization 0 alone is gated.
     name = "sum_rule"
     lhs = ctx.prefix("sum_rule_lhs", n)
     rhs, scale = ctx.prefix("sum_rule_rhs", n).T
-    if ctx.lattice.boundary == DIRICHLET:
-        # exact per realization: each gap against its own rounding scale
-        worst = float((np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, scale), 1e-300)).max())
-        return _result(name, worst <= SUM_RULE_TOL, SUM_RULE_TOL - worst,
-                       f"max |Sigma(R) - 2 pi <f(H)_(x+e1,x)>| over its scale "
-                       f"{worst:.3e} over {n} realizations")
-    if n < 2:
-        return _skip(name, "needs at least 2 realizations for a stderr")
-    report = cond.sum_rule_mass(lhs, rhs, ctx.lattice)
-    allowance = 3.0 * report.gap_stderr_combined + 1e-12 * abs(report.lhs_mean)
-    ok = abs(report.gap_mean) <= allowance
-    return _result(name, ok, allowance - abs(report.gap_mean),
-                   f"lhs {report.lhs_mean:.6f}, rhs {report.rhs_mean:.6f}, "
-                   f"gap {report.gap_mean:+.3e} vs 3*stderr {allowance:.3e}")
+    bound = np.maximum(np.maximum(lhs, scale), 1e-300)
+    gaps, tol, where = np.abs(lhs - rhs) / bound, SUM_RULE_TOL, f"over {n} realizations"
+    if ctx.lattice.boundary != DIRICHLET:
+        tol = TWISTED_SUM_RULE_TOL
+        drift, m = cond.twist_drift(ctx.lattice, ctx.potential, ctx.thermo, 0.1 * tol * bound[0])
+        if drift is None:
+            return _skip(name, f"twist series of realization 0 unresolved at M = {m} phases")
+        gaps = np.abs(lhs[:1] - rhs[:1] + drift) / bound[:1]
+        where = (f"on realization 0, less the drift term (pi/|Lambda|) Omega'' = "
+                 f"{drift:+.6e} at M = {m} phases")
+    worst = float(gaps.max())
+    return _result(name, worst <= tol, tol - worst,
+                   f"max |Sigma(R) - 2 pi <f(H)_(x+e1,x)>| over its scale {worst:.3e} {where}")
 
 
 def check_wegner(ctx: _Context, n: int) -> CheckResult:
@@ -347,7 +338,6 @@ def run_verify(config: RunConfig) -> VerifyReport:
     checks = [
         check_commutator_moments(ctx, ctx.small),
         check_positivity(ctx, ctx.small),
-        check_decomposition(ctx, ctx.small),
         check_convolution(ctx, ctx.small),
         check_sandwich(ctx, ctx.medium),
         check_high_t_bound(ctx, ctx.medium),

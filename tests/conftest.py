@@ -9,7 +9,11 @@ from aclab import (
     pair_spectrum,
     sample_potential,
     spectral_bounds,
+    sum_rule_lhs,
+    sum_rule_rhs,
+    twist_drift,
 )
+from aclab.verify import TWISTED_SUM_RULE_TOL
 
 MASTER_SEED = 20240811
 
@@ -50,3 +54,16 @@ def plane_wave_atom(length, p):
     k = 2.0 * np.pi * np.arange(length) / length
     return np.pi / length * np.sum(
         4.0 * np.sin(k) ** 2 * fermi_derivative_neg(-2.0 * np.cos(k), p))
+
+
+def sum_rule_gap(record, lattice, p):
+    """|Sigma(R) - 2 pi <f(H)_(x+e1,x)> + twist drift| of a periodic record, and its scale.
+
+    The scale and the harmonic tolerance are the ones verify's sum_rule uses;
+    an unresolved twist series reads an infinite gap.
+    """
+    lhs = sum_rule_lhs(record.pairs, p)[0]
+    rhs, scale = sum_rule_rhs(record.spectral, lattice, p)
+    bound = max(lhs, scale)
+    drift, _ = twist_drift(lattice, record.potential, p, 0.1 * TWISTED_SUM_RULE_TOL * bound)
+    return (np.inf if drift is None else abs(lhs - rhs + drift)), bound

@@ -390,7 +390,7 @@ class TestVerifyCommand:
             "status": "ok", "files": [str(tmp_path / "out" / "verify.json")], "failed": []}
         report = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert report["report"]["passed"] is True
-        assert len(report["report"]["checks"]) == 10
+        assert len(report["report"]["checks"]) == 9
 
     def test_one_eigensolve_per_realization(self, tmp_path, eigh_calls):
         path, _ = small_config(tmp_path, lattice={
@@ -467,7 +467,7 @@ class TestVerifyCommand:
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})
         return next(c for c in run_verify(load(path)).checks if c.name == name).status
 
-    def test_decomposition_catches_a_dropped_bin(self, tmp_path, monkeypatch):
+    def test_positivity_catches_a_dropped_bin(self, tmp_path, monkeypatch):
         original = aclab.conductivity._mirror_bin
 
         def drop_largest(*args):
@@ -476,7 +476,7 @@ class TestVerifyCommand:
             return mass
 
         monkeypatch.setattr(aclab.conductivity, "_mirror_bin", drop_largest)
-        assert self._status(tmp_path, "decomposition") == "fail"
+        assert self._status(tmp_path, "positivity") == "fail"
 
     def test_margins_read_bins_that_hold_pairs(self, tmp_path):
         path, _ = small_config(tmp_path, ensemble={"realizations": 4})

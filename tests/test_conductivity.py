@@ -21,8 +21,8 @@ from aclab import (
     sandwich_check,
     spectral_bounds,
     sum_rule_lhs,
-    sum_rule_mass,
     sum_rule_rhs,
+    twist_drift,
     upsilon_measure,
 )
 from aclab.conductivity import (
@@ -39,8 +39,10 @@ from aclab.conductivity import (
     upsilon_total,
 )
 from aclab.spectral import BOUNDS_SLACK
+from aclab.verify import TWISTED_SUM_RULE_TOL
 
-from conftest import MASTER_SEED, lattices, make_pair_spectrum, plane_wave_atom
+from conftest import MASTER_SEED, lattices, make_pair_spectrum, plane_wave_atom, \
+    sum_rule_gap
 
 
 def _free_ring(length):
@@ -354,7 +356,8 @@ class TestHistogramInvariants:
         wide = frequency_bins(realization.bounds, realization.site_count,
                               nu_max=1.5 * diameter)
         sigma = conductivity_measure(realization, ThermoParams(0.9, 0.4), wide)
-        assert sigma.mass_outside(diameter)[0] == 0.0
+        outside = sigma.bin_edges[:-1] >= diameter
+        assert not sigma.bin_mass[0, outside | outside[::-1]].any()
 
     def test_decomposition_exact(self, realization):
         edges = frequency_bins(realization.bounds, realization.site_count)
@@ -385,43 +388,36 @@ class TestHistogramInvariants:
         assert gaps[-1] < 0.02
 
 
-def _sum_rule_report(records, lattice, p):
-    """sum_rule_mass of the per-realization sides of records."""
-    lhs = np.concatenate([sum_rule_lhs(r.pairs, p) for r in records])
-    rhs = np.array([sum_rule_rhs(r.spectral, lattice, p)[0] for r in records])
-    return sum_rule_mass(lhs, rhs, lattice)
-
-
 class TestSumRule:
     def test_clean_ring_exact(self):
         _, data, ps = _free_ring(32)
         lattice = LatticeSpec(1, 32, "periodic")
         record = Realization(np.zeros(32), data, ps)
-        report = _sum_rule_report([record, record], lattice, ThermoParams(1.0, 0.0))
-        assert abs(report.gap_mean) < 1e-10
+        p = ThermoParams(1.0, 0.0)
+        assert sum_rule_gap(record, lattice, p)[0] < 1e-10
         # closed form: +2 pi mean_k cos(k) f(eps(k)) under hopping -1
         k = 2 * np.pi * np.arange(32) / 32
         from aclab import fermi
 
-        closed = 2 * np.pi * np.mean(np.cos(k) * fermi(-2 * np.cos(k), ThermoParams(1.0, 0.0)))
-        assert report.rhs_mean == pytest.approx(closed, abs=1e-12)
-        assert report.lhs_mean == pytest.approx(
-            plane_wave_atom(32, ThermoParams(1.0, 0.0)), abs=1e-12)
+        closed = 2 * np.pi * np.mean(np.cos(k) * fermi(-2 * np.cos(k), p))
+        assert sum_rule_rhs(data, lattice, p)[0] == pytest.approx(closed, abs=1e-12)
+        assert sum_rule_lhs(ps, p)[0] == pytest.approx(plane_wave_atom(32, p), abs=1e-12)
 
-    def test_statistical_agreement_with_disorder(self):
-        lattice = LatticeSpec(1, 16, "periodic")
+    def test_every_realization_holds_with_disorder(self):
         disorder = DisorderSpec(strength=1.0, seed=MASTER_SEED)
-        batch = [realization_pair_spectrum(lattice, disorder.with_index(i))
-                 for i in range(60)]
-        report = _sum_rule_report(batch, lattice, ThermoParams(1.0, 0.0))
-        assert abs(report.gap_mean) <= 3 * report.gap_stderr_combined
-        assert report.lhs_mean > 1.0  # nontrivial total mass at these parameters
+        p = ThermoParams(1.0, 0.0)
+        for length in (8, 16, 32):
+            lattice = LatticeSpec(1, length, "periodic")
+            batch = [realization_pair_spectrum(lattice, disorder.with_index(i))
+                     for i in range(60)]
+            gap, bound = np.array([sum_rule_gap(r, lattice, p) for r in batch]).T
+            assert (gap <= TWISTED_SUM_RULE_TOL * bound).all(), length
+            assert np.mean([sum_rule_lhs(r.pairs, p)[0] for r in batch]) > 1.0
 
     def test_rejects_dirichlet(self, two_site):
-        lattice, _, data, ps = two_site
-        record = Realization(np.zeros(2), data, ps)
+        lattice, _, _, _ = two_site
         with pytest.raises(ValueError, match="periodic"):
-            _sum_rule_report([record, record], lattice, ThermoParams(1.0, 0.0))
+            twist_drift(lattice, np.zeros(2), ThermoParams(1.0, 0.0), 1e-12)
 
 
 class TestSandwich:
@@ -666,7 +662,7 @@ def test_a_realization_measures_the_same_alone_and_in_a_block(lattice, strength,
         upsilon = upsilon_measure(ps, edges)
         out = {"sigma": sigma.bin_mass, "atom": sigma.atom_at_zero,
                "sigma_total": sigma.total(), "near_zero": sigma.near_zero_mass(),
-               "outside": conductivity_measure(ps, p, wide).mass_outside(bounds[1] - bounds[0]),
+               "wide": conductivity_measure(ps, p, wide).bin_mass,
                "gamma": gamma_mass(ps, p), "atom_mass": atom_mass(ps, p),
                "upsilon": upsilon.bin_mass, "upsilon_total": upsilon_total(ps),
                "psi": psi_diagonal(ps).bin_mass, "psi_total": psi_total(ps),

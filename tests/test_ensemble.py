@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ class TestTemperatureSweep:
         table = temperature_sweep(DISORDER, LATTICE, 0.0, grid, n=16)
         for row in table.rows:
             assert row["t_times_sigma"] <= row["envelope_mean"] * (1 + 1e-12)
+
+    def test_no_block_outlives_its_measure(self, monkeypatch):
+        # a d=1 L=32 block holds 10 tables, so 33 realizations make 4 blocks;
+        # each is reduced to its totals before the next one is joined
+        join, blocks, alive = ens.join, [], []
+
+        def traced(tables):
+            alive.append([i for i, ref in enumerate(blocks) if ref() is not None])
+            block = join(tables)
+            blocks.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(ens, "join", traced)
+        temperature_sweep(DISORDER, LatticeSpec(1, 32, "periodic"), 0.0, [0.5, 1.0], n=33)
+        assert alive == [[], [], [], []]
 
     def test_a_doubled_table_breaks_the_high_t_bound(self, monkeypatch):
         # the bound reads ||v||_F^2 from the lattice: a table whose every |v|^2

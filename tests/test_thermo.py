@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from aclab import ThermoParams, c_mu_t, fermi, fermi_derivative_neg, pair_weight
+from aclab.thermo import grand_potential
 
 finite_energy = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -37,6 +38,16 @@ def test_fermi_saturates_without_overflow():
         assert fermi(700.0, p) == pytest.approx(0.0, abs=1e-300)
         assert fermi(1000.0, p) == 0.0
         assert fermi(-700.0, p) == 1.0
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.05, 1.0, 16.0])
+def test_grand_potential_integrates_the_fermi_function(temperature):
+    # G(b) - G(a) = int_a^b f(E) dE, with no overflow far from mu
+    p = ThermoParams(temperature, 0.3)
+    for a, b in [(-3.0, -1.0), (-1.0, 0.2), (0.5, 4.0), (-2.0, 2.0)]:
+        integral, _ = quad(lambda e: fermi(e, p), a, b, points=[0.3], epsabs=1e-12)
+        assert grand_potential(b, p) - grand_potential(a, p) == pytest.approx(integral, abs=1e-10)
+    assert np.all(np.isfinite(grand_potential(np.array([-1e308, 1e308]), p)))
 
 
 def test_derivative_peak_value():

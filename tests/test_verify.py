@@ -4,9 +4,9 @@
 the table's sum of nu^2k |v|^2 on every box, and any corruption of the table,
 its energies or the eigenvectors it came from must break the equality.  Every
 pair weight is at most 1/4T, so Sigma(R) <= (pi/4T) ||v||_F^2 / |Lambda| with
-the norm read from the lattice; on open boxes the total mass equals
-2 pi <f(H)_{x+e1,x}> per realization; and every sigma bin holds exactly the
-mass np.histogram puts there.
+the norm read from the lattice; the total mass equals 2 pi <f(H)_{x+e1,x}>
+per realization, less the twist stiffness on periodic boxes; and every sigma
+bin holds exactly the mass np.histogram puts there.
 """
 
 import dataclasses
@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aclab import DisorderSpec, FieldPulse, LatticeSpec, ThermoParams, ensemble_average, \
-    pair_spectrum, realization_pair_spectrum
+from aclab import DisorderSpec, FieldPulse, LatticeSpec, ThermoParams, build_velocity, \
+    ensemble_average, pair_spectrum, realization_pair_spectrum
 from aclab.config import DynamicsSettings, RunConfig
 import aclab.conductivity as cond
 import aclab.ensemble as ens
@@ -117,8 +117,7 @@ def test_commutator_moments_catch_a_corrupted_table(fault, lattice, strength, mo
                          ids=["d2L8", "d2L16", "d3L4"])
 def test_verify_passes_commutator_moments_on_clean_periodic_boxes(lattice):
     # every nu > eps_deg |v|^2 here is rounding noise and all the mass sits in
-    # degenerate pairs; sum_rule still fails on these boxes (identical
-    # realizations give a zero stderr), so only this check is asserted
+    # degenerate pairs
     checks = run_verify(_config(lattice, 0.0, realizations=4)).checks
     assert next(c for c in checks if c.name == "commutator_moments").status == "pass"
 
@@ -208,21 +207,21 @@ def _clean_statuses(box: str) -> dict:
 
 
 # fault: (injection, box, the checks it must fail).  On the clean ring all
-# mass is degenerate and the atom's (-f)' sits just under 1/4T; sum_rule
-# fails on every clean periodic box, so it is not asked there.  Every
+# mass is degenerate and the atom's (-f)' sits just under 1/4T.  Every
 # measure and both sides of convolution bin through _mirror_bin, so only
 # positivity's np.histogram sees a misplaced nu, and only convolution's
 # half-tanh oracle reads a stored nu against the energies.  The eigensystem
 # faults leave the table as solved; without a pulse only the sum rule's right
 # side reads the eigenvectors, only wegner and that side read the
-# eigensystem's energies, and only commutator_moments reads the potential.
+# eigensystem's energies, and only commutator_moments and, on a periodic box,
+# the sum rule's twist drift (realization 0 alone) read the potential.
 FAULT_MATRIX = {
     "atom-x1.05-ring": (_on_tables(_scaled_atom(1.05)), "clean-ring",
-                        {"high_t_bound", "commutator_moments"}),
+                        {"high_t_bound", "commutator_moments", "sum_rule"}),
     "atom-x1.5-ring": (_on_tables(_scaled_atom(1.5)), "clean-ring",
-                       {"high_t_bound", "commutator_moments"}),
+                       {"high_t_bound", "commutator_moments", "sum_rule"}),
     "atom-x3-ring": (_on_tables(_scaled_atom(3.0)), "clean-ring",
-                     {"high_t_bound", "commutator_moments"}),
+                     {"high_t_bound", "commutator_moments", "sum_rule"}),
     "doubled-ring": (_on_tables(_doubled), "ring", {"high_t_bound", "commutator_moments"}),
     "doubled-d1L12-dirichlet": (_on_tables(_doubled), "d1L12-dirichlet",
                                 {"high_t_bound", "sum_rule", "commutator_moments"}),
@@ -232,7 +231,7 @@ FAULT_MATRIX = {
     "nu-x1.01-d1L12-dirichlet": (_on_tables(_scaled_nu(1.01)), "d1L12-dirichlet",
                                  {"convolution"}),
     "gamma-mass-x(1+1e-9)-ring": (_scaled_output(cond, "gamma_mass", 1 + 1e-9), "ring",
-                                  {"decomposition"}),
+                                  {"sum_rule"}),
     "rotated-eigenvectors-d1L12-dirichlet": (_on_records(_rotated_eigensystem),
                                              "d1L12-dirichlet", {"sum_rule"}),
     "potential-nudged-ring": (_on_records(_nudged_potential), "ring",
@@ -338,11 +337,41 @@ def test_the_battery_reads_the_same_in_blocks_of_one(lattice, realizations, monk
     assert run_verify(config).to_dict() == blocked
 
 
-# Periodic d=3 boxes wait for an exact periodic sum rule: the ensemble
-# comparison misses the twist stiffness, and it fails by finite size there
-# for L <= 6.
 @pytest.mark.parametrize("size, realizations", [(4, 9), (6, 4)])
 def test_the_battery_passes_on_open_d3_boxes(size, realizations):
     report = run_verify(_config(LatticeSpec(3, size, "dirichlet"), 1.0,
                                 realizations=realizations))
     assert report.passed, report.lines()
+
+
+PERIODIC_BOXES = [(LatticeSpec(1, 32), 0.0), (LatticeSpec(2, 8), 0.0), (LatticeSpec(2, 16), 0.0),
+                  (LatticeSpec(3, 4), 0.0), (LatticeSpec(3, 4), 1.0), (LatticeSpec(3, 6), 1.0),
+                  (LatticeSpec(1, 2), 0.0)]
+
+
+@pytest.mark.parametrize("lattice, strength", PERIODIC_BOXES,
+                         ids=[f"d{lat.dimension}L{lat.linear_size}-{lam:g}"
+                              for lat, lam in PERIODIC_BOXES])
+def test_the_battery_passes_on_periodic_boxes(lattice, strength):
+    # the sum rule less the twist stiffness; the raw identity misses by up to
+    # 0.79 of its scale here (the L = 2 ring, which takes M = 32 phases)
+    report = run_verify(_config(lattice, strength, realizations=4))
+    assert report.passed, report.lines()
+    assert next(c for c in report.checks if c.name == "sum_rule").status == "pass"
+
+
+def test_sum_rule_skips_an_unresolved_twist_series():
+    # at T = 0.05 the L = 2 ring's Omega(phi) has harmonics past M = 64
+    config = _config(LatticeSpec(1, 2), 0.0, thermo=ThermoParams(0.05, 0.2))
+    sum_rule = next(c for c in run_verify(config).checks if c.name == "sum_rule")
+    assert sum_rule.status == "skipped"
+    assert "M = 64" in sum_rule.detail
+
+
+@pytest.mark.parametrize("lattice", [RING, OPEN_CHAIN, LatticeSpec(1, 2), LatticeSpec(3, 4)],
+                         ids=["ring", "d1L12-dirichlet", "d1L2", "d3L4"])
+def test_the_hop_matrix_is_its_own_real_array(lattice):
+    # A = i v, built from the stencil: no view into a complex n x n product
+    hop = ver._Context(_config(lattice, 1.0)).hop
+    assert hop.dtype == np.float64 and hop.flags.c_contiguous and hop.base is None
+    assert np.array_equal(hop, (1j * build_velocity(lattice)).real)
