@@ -38,8 +38,6 @@ from .lattice import (
     DIRICHLET,
     PERIODIC,
     LatticeSpec,
-    build_laplacian,
-    build_velocity,
     position_values,
 )
 from .response import (

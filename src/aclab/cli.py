@@ -29,12 +29,12 @@ from .spectral import eigendecompose  # noqa: F401
 from .verify import absorption_oracle, run_verify
 
 
-def _fail(message: str, field: str | None = None, code: int = 2) -> int:
+def _fail(message: str, field: str | None = None) -> int:
     payload = {"status": "error", "message": message}
     if field:
         payload["field"] = field
     print(json.dumps(payload))
-    return code
+    return 2
 
 
 def _load_config(args) -> RunConfig:
@@ -200,8 +200,6 @@ def main(argv=None) -> int:
         return _fail(f"unknown command {args.command!r}")
     except ConfigError as exc:
         return _fail(str(exc), field=exc.field_path or None)
-    except FileExistsError as exc:
-        return _fail(str(exc))
     except (ValueError, RuntimeError, OSError) as exc:
         return _fail(str(exc))
 

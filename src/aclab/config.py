@@ -111,6 +111,14 @@ def _number(value) -> float:
     return float(value)
 
 
+def _step(value) -> float:
+    """A time step: a finite JSON number > 0."""
+    step = _number(value)
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"must be a finite number > 0, got {step!r}")
+    return step
+
+
 def _floats(values) -> tuple:
     """A JSON array of numbers as a tuple of floats."""
     if not isinstance(values, list):
@@ -131,14 +139,14 @@ SECTIONS = {
                  ("strength", "seed")),
     "thermo": (ThermoParams, {"temperature": _number, "fermi_level": _number},
                ("temperature",)),
-    "bins": (BinSettings, {"frequency_bins_per_side": _integer, "nu_max": _number,
-                           "dos_bins": _integer}, ()),
+    "bins": (BinSettings, {"frequency_bins_per_side": _count, "nu_max": _number,
+                           "dos_bins": _count}, ()),
     "ensemble": (dict, {"realizations": _count}, ("realizations",)),
     "sweeps": (SweepGrids, {"temperature": _floats, "disorder": _floats}, ()),
     "pulse": (FieldPulse, {"amplitude": _number, "width": _number, "carrier": _number},
               ("amplitude", "width")),
-    "dynamics": (DynamicsSettings, {"alphas": _floats, "dt": _number,
-                                    "route_check_dt": _number}, ()),
+    "dynamics": (DynamicsSettings, {"alphas": _floats, "dt": _step,
+                                    "route_check_dt": _step}, ()),
     "output": (dict, {"directory": str}, ("directory",)),
 }
 

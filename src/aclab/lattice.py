@@ -1,4 +1,4 @@
-"""Finite-box lattice geometry and the kinetic, velocity, and position operators.
+"""Finite-box lattice geometry: neighbour shifts, bonds, the velocity norm, X1.
 
 Conventions
 -----------
@@ -97,41 +97,8 @@ class LatticeSpec:
         return index, values
 
 
-def build_laplacian(spec: LatticeSpec) -> np.ndarray:
-    """Kinetic matrix with -1 on every nearest-neighbour bond.
-
-    Periodic boundaries wrap (an L=2 ring carries a doubled bond, consistent
-    with the plane-wave spectrum); dirichlet drops out-of-box couplings.
-    """
-    n = spec.site_count
-    kin = np.zeros((n, n))
-    rows = np.arange(n)
-    for axis in range(spec.dimension):
-        for step in (+1, -1):
-            target = spec.neighbor_shift(axis, step)
-            ok = target >= 0
-            kin[rows[ok], target[ok]] -= 1.0
-    return kin
-
-
-def build_velocity(spec: LatticeSpec) -> np.ndarray:
-    """Velocity operator along axis 0: amplitude -i forward, +i backward.
-
-    Hermitian with purely imaginary entries; independent of any on-site
-    potential.
-    """
-    n = spec.site_count
-    vel = np.zeros((n, n), dtype=complex)
-    rows = np.arange(n)
-    for step, amp in ((+1, -1j), (-1, +1j)):
-        target = spec.neighbor_shift(0, step)
-        ok = target >= 0
-        vel[rows[ok], target[ok]] += amp
-    return vel
-
-
 def velocity_norm2(spec: LatticeSpec) -> float:
-    """||v||_F^2 of build_velocity(spec), in O(site_count): its count of unit entries.
+    """||v||_F^2 of the axis-0 velocity, in O(site_count): its count of unit entries.
 
     Each in-box forward neighbour gives one entry and its backward partner
     another; on an L=2 ring the two amplitudes meet on one entry and cancel.
@@ -149,11 +116,3 @@ def position_values(spec: LatticeSpec) -> np.ndarray:
     if spec.boundary != DIRICHLET:
         raise ValueError("position operator requires dirichlet boundary")
     return spec.coordinates()[:, 0] - (spec.linear_size - 1) / 2.0
-
-
-def plane_wave_energies(spec: LatticeSpec) -> np.ndarray:
-    """Exact periodic kinetic spectrum -2 sum_i cos(2 pi j_i / L), unsorted."""
-    if spec.boundary != PERIODIC:
-        raise ValueError("plane waves require periodic boundary")
-    k = 2.0 * np.pi * spec.coordinates() / spec.linear_size
-    return -2.0 * np.cos(k).sum(axis=1)

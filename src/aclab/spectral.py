@@ -77,7 +77,7 @@ def subtract_hopping(lattice: LatticeSpec, out: np.ndarray, x: np.ndarray) -> No
 
     Rows are sites in row-major order, so along axis a they reshape to
     (L^a, L, rest) and each neighbour is a slice of the middle index.  Periodic
-    boxes wrap (an L=2 ring meets its one neighbour twice, as build_laplacian's
+    boxes wrap (an L=2 ring meets its one neighbour twice, as the bond list's
     doubled bond); dirichlet boxes drop the out-of-box neighbours.  Reshaping an
     out that is not C-contiguous would copy it and lose the subtraction.
     """

@@ -13,6 +13,7 @@ from aclab import (
     sum_rule_rhs,
     twist_drift,
 )
+from aclab.lattice import PERIODIC
 from aclab.verify import TWISTED_SUM_RULE_TOL
 
 MASTER_SEED = 20240811
@@ -34,6 +35,48 @@ def make_pair_spectrum(lattice, disorder, index=0):
     data = eigendecompose(lattice, sample_potential(spec, lattice),
                           bounds=spectral_bounds(spec, lattice))
     return data, pair_spectrum(data, lattice)
+
+
+# Dense oracles for the stencil routes, which build neither matrix.
+def build_laplacian(spec: LatticeSpec) -> np.ndarray:
+    """Kinetic matrix with -1 on every nearest-neighbour bond.
+
+    Periodic boundaries wrap (an L=2 ring carries a doubled bond, consistent
+    with the plane-wave spectrum); dirichlet drops out-of-box couplings.
+    """
+    n = spec.site_count
+    kin = np.zeros((n, n))
+    rows = np.arange(n)
+    for axis in range(spec.dimension):
+        for step in (+1, -1):
+            target = spec.neighbor_shift(axis, step)
+            ok = target >= 0
+            kin[rows[ok], target[ok]] -= 1.0
+    return kin
+
+
+def build_velocity(spec: LatticeSpec) -> np.ndarray:
+    """Velocity operator along axis 0: amplitude -i forward, +i backward.
+
+    Hermitian with purely imaginary entries; independent of any on-site
+    potential.
+    """
+    n = spec.site_count
+    vel = np.zeros((n, n), dtype=complex)
+    rows = np.arange(n)
+    for step, amp in ((+1, -1j), (-1, +1j)):
+        target = spec.neighbor_shift(0, step)
+        ok = target >= 0
+        vel[rows[ok], target[ok]] += amp
+    return vel
+
+
+def plane_wave_energies(spec: LatticeSpec) -> np.ndarray:
+    """Exact periodic kinetic spectrum -2 sum_i cos(2 pi j_i / L), unsorted."""
+    if spec.boundary != PERIODIC:
+        raise ValueError("plane waves require periodic boundary")
+    k = 2.0 * np.pi * spec.coordinates() / spec.linear_size
+    return -2.0 * np.cos(k).sum(axis=1)
 
 
 MAX_SIZE = {1: 16, 2: 6, 3: 4}

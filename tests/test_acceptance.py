@@ -13,7 +13,6 @@ from aclab import (
     ThermoParams,
     absorbed_energy_lr,
     absorbed_energy_td,
-    build_velocity,
     conductivity_measure,
     convolution_check,
     disorder_sweep,
@@ -35,7 +34,8 @@ from aclab import (
 )
 from aclab.verify import TWISTED_SUM_RULE_TOL
 
-from conftest import MASTER_SEED, make_pair_spectrum, plane_wave_atom, sum_rule_gap
+from conftest import MASTER_SEED, build_velocity, make_pair_spectrum, plane_wave_atom, \
+    sum_rule_gap
 
 SEED = MASTER_SEED
 

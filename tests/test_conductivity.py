@@ -8,7 +8,6 @@ from aclab import (
     Realization,
     SpectralData,
     ThermoParams,
-    build_velocity,
     conductivity_measure,
     convolution_check,
     eigendecompose,
@@ -41,8 +40,8 @@ from aclab.conductivity import (
 from aclab.spectral import BOUNDS_SLACK
 from aclab.verify import TWISTED_SUM_RULE_TOL
 
-from conftest import MASTER_SEED, lattices, make_pair_spectrum, plane_wave_atom, \
-    sum_rule_gap
+from conftest import MASTER_SEED, build_velocity, lattices, make_pair_spectrum, \
+    plane_wave_atom, sum_rule_gap
 
 
 def _free_ring(length):

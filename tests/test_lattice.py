@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aclab import LatticeSpec, build_laplacian, build_velocity, position_values
-from aclab.lattice import plane_wave_energies
+from aclab import LatticeSpec, position_values
+
+from conftest import build_laplacian, build_velocity, plane_wave_energies
 
 
 def test_two_site_chain_single_bond():

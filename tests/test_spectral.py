@@ -6,7 +6,6 @@ from aclab import (
     DisorderSpec,
     LatticeSpec,
     build_hamiltonian,
-    build_laplacian,
     dos_histogram,
     eigendecompose,
     energy_bins,
@@ -14,10 +13,9 @@ from aclab import (
     spectral_bounds,
     wegner_check,
 )
-from aclab.lattice import plane_wave_energies
 from aclab.spectral import subtract_hopping
 
-from conftest import lattices
+from conftest import build_laplacian, lattices, plane_wave_energies
 
 
 def test_hamiltonian_zero_potential_is_kinetic():

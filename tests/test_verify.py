@@ -17,15 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aclab import DisorderSpec, FieldPulse, LatticeSpec, ThermoParams, build_velocity, \
-    ensemble_average, pair_spectrum, realization_pair_spectrum
+from aclab import DisorderSpec, FieldPulse, LatticeSpec, ThermoParams, ensemble_average, \
+    pair_spectrum, realization_pair_spectrum, spectral_bounds
 from aclab.config import DynamicsSettings, RunConfig
 import aclab.conductivity as cond
 import aclab.ensemble as ens
 import aclab.verify as ver
 from aclab.verify import run_verify
 
-from conftest import MASTER_SEED, lattices
+from conftest import MASTER_SEED, build_velocity, lattices
 
 
 def _config(lattice, strength, seed=MASTER_SEED, realizations=2,
@@ -366,6 +366,32 @@ def test_sum_rule_skips_an_unresolved_twist_series():
     sum_rule = next(c for c in run_verify(config).checks if c.name == "sum_rule")
     assert sum_rule.status == "skipped"
     assert "M = 64" in sum_rule.detail
+
+
+SKIP_REASONS = {"identity needs T > 0", "bounds need T > 0", "bound is vacuous at lambda = 0",
+                "time-domain route needs dirichlet boundary", "no pulse configured",
+                "twist series of realization 0 unresolved at M = 64 phases"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(), st.sampled_from([0.0, 1.0, 4.0]), st.sampled_from([0.0, 0.05, 1.0, 16.0]),
+       st.floats(0.0, 1.0))
+@example(LatticeSpec(1, 2), 0.0, 0.05, 0.55)  # sum_rule skips: Omega's harmonics past M = 64
+@example(LatticeSpec(3, 4), 1.0, 0.05, 0.55)
+@example(LatticeSpec(1, 5, "dirichlet"), 4.0, 1.0, 0.55)  # wegner fails here at 3 realizations
+def test_the_battery_passes_on_every_small_box(lattice, strength, temperature, fraction):
+    # the whole battery at the small prefix's 8 realizations, mu a fraction of the way
+    # across the spectral bounds; the T = 0 measure is defined only with mu off every level
+    lo, hi = spectral_bounds(DisorderSpec(strength=strength), lattice)
+    mu = lo + fraction * (hi - lo)
+    config = _config(lattice, strength, realizations=8, thermo=ThermoParams(temperature, mu))
+    assume(temperature > 0 or all(
+        np.abs(t.energies - mu).min() > t.eps_deg
+        for t in (realization_pair_spectrum(lattice, config.disorder.with_index(i)).pairs
+                  for i in range(8))))
+    report = run_verify(config)
+    assert report.passed, report.lines()
+    assert {c.detail for c in report.checks if c.status == "skipped"} <= SKIP_REASONS
 
 
 @pytest.mark.parametrize("lattice", [RING, OPEN_CHAIN, LatticeSpec(1, 2), LatticeSpec(3, 4)],
